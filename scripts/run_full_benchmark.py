@@ -16,14 +16,18 @@ Size-s ensembles reuse the first s members of each chain. Outputs:
   fid_comparison.json  per-dataset FID(ref, plain) vs FID(ref, deco) for
                        the 2-model configurations, with a paired Wilcoxon
                        p-value across datasets
+  failures.csv         every skipped dataset with its error (header only
+                       when none failed)
 
 Checkpoints land under <out>/models/ and are reused on restart, so the
-script is resumable.
+script is resumable; an unreadable checkpoint is retrained and replaced.
 """
 
 import argparse
+import csv
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +35,7 @@ import numpy as np
 
 from decolite.data import load_dataset, resolve_data_root
 from decolite.diversity import feature_statistics, fid
+from decolite.errors import CheckpointError
 from decolite.evaluation import (ResultsTable, ensemble_predict, accuracy,
                                  format_p_value, mcm, wilcoxon_signed_rank)
 from decolite.model import load_model, save_model
@@ -41,7 +46,10 @@ SIZES = (2, 3, 4, 5)
 
 def _train_or_load(path, kind, ds, cfg, prev):
     if path.is_file():
-        return load_model(path)
+        try:
+            return load_model(path)
+        except CheckpointError as exc:
+            print(f"  retraining: {exc}", file=sys.stderr)
     model, _ = (train_base(ds, cfg) if kind == "base"
                 else train_decorrelated(ds, cfg, prev))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -106,18 +114,27 @@ def main(argv=None):
     out.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(epochs=args.epochs, alpha=args.alpha)
 
-    rows, fid_pairs = {}, {}
+    rows, fid_pairs, failures = {}, {}, []
     for i, name in enumerate(names):
         print(f"[{i + 1}/{len(names)}] {name}", flush=True)
         try:
             accs, f_plain, f_deco = run_dataset(name, root, out, cfg, args.runs)
         except Exception as exc:  # noqa: BLE001
-            print(f"  skipped ({type(exc).__name__}: {exc})", file=sys.stderr)
+            failures.append((name, f"{type(exc).__name__}: {exc}"))
+            traceback.print_exc()
+            print(f"  skipped ({failures[-1][1]})", file=sys.stderr)
             continue
         rows[name] = accs
         fid_pairs[name] = {"plain": f_plain, "deco": f_deco}
         best = max(accs, key=accs.get)
         print(f"  best {best} = {accs[best]:.4f}")
+
+    with open(out / "failures.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["dataset", "error"])
+        writer.writerows(failures)
+    if not rows:
+        ap.exit(1, f"no dataset finished; see {out / 'failures.csv'}\n")
 
     classifiers = [f"{p}LITETime-{s}" for s in SIZES for p in ("", "Deco-")]
     table = ResultsTable(

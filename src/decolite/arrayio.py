@@ -2,7 +2,8 @@
 
 The byte layout is fixed (magic, header length, JSON header, raw array
 bytes, sha256 trailer), writes are fully deterministic for identical
-content, and round trips are bit-exact. Any corruption, truncation or
+content and atomic (a sibling temp file is renamed onto the target), and
+round trips are bit-exact. Any corruption, truncation or
 version mismatch surfaces as :class:`CheckpointError`.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,12 @@ FORMAT_VERSION = 1
 
 
 def save_bundle(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` (order-preserving) and ``meta`` to ``path``."""
+    """Write ``arrays`` (order-preserving) and ``meta`` to ``path``.
+
+    The bytes go to a temp file beside ``path`` that then replaces it, so
+    a write that fails or is killed partway leaves any previous file at
+    ``path`` intact.
+    """
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -34,7 +41,14 @@ def save_bundle(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> N
     ).encode("utf-8")
     body = _MAGIC + len(header).to_bytes(8, "big") + header + b"".join(blobs)
     digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(body + digest)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(body + digest)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_bundle(path, expected_kind: str | None = None):

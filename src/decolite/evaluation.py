@@ -48,6 +48,24 @@ def _model_probs(model: LiteModel, x: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
+def _member_probs(models: list[LiteModel], x) -> np.ndarray:
+    """Every member's eval-mode softmax outputs, shape (K, N, Cls)."""
+    if not models:
+        raise UsageError("ensemble_predict needs at least one model")
+    n_classes = {m.n_classes for m in models}
+    if len(n_classes) != 1:
+        raise ConfigError(f"members disagree on class count: {sorted(n_classes)}")
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([_model_probs(m, x) for m in models])
+
+
+def _sorted_mean(stacked: np.ndarray) -> np.ndarray:
+    # Summing each cell in sorted order makes the mean independent of the
+    # member order, bit for bit. Sorts ``stacked`` in place.
+    stacked.sort(axis=0)
+    return stacked.sum(axis=0) / stacked.shape[0]
+
+
 def ensemble_predict(models: list[LiteModel], x: np.ndarray) -> np.ndarray:
     """Mean of the members' eval-mode softmax outputs, shape (N, Cls).
 
@@ -55,15 +73,7 @@ def ensemble_predict(models: list[LiteModel], x: np.ndarray) -> np.ndarray:
     result is bit-identical under any permutation of ``models``. Predicted
     classes are the argmax per row; ties resolve to the lowest index.
     """
-    if not models:
-        raise UsageError("ensemble_predict needs at least one model")
-    n_classes = {m.n_classes for m in models}
-    if len(n_classes) != 1:
-        raise ConfigError(f"members disagree on class count: {sorted(n_classes)}")
-    stacked = np.stack([_model_probs(m, np.asarray(x, dtype=np.float64))
-                        for m in models])
-    stacked.sort(axis=0)
-    return stacked.sum(axis=0) / len(models)
+    return _sorted_mean(_member_probs(models, x))
 
 
 def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
@@ -78,10 +88,15 @@ def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
 
 
 def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
-    """(ensemble accuracy, per-member accuracies) on one dataset split."""
-    probs = ensemble_predict(models, ds.X)
-    ens = accuracy(probs.argmax(axis=1), ds.y)
-    members = [accuracy(_model_probs(m, ds.X).argmax(axis=1), ds.y) for m in models]
+    """(ensemble accuracy, per-member accuracies) on one dataset split.
+
+    Each member runs one forward over the split; the ensemble mean is
+    built from those same outputs exactly as :func:`ensemble_predict`
+    builds it.
+    """
+    stacked = _member_probs(models, ds.X)
+    members = [accuracy(p.argmax(axis=1), ds.y) for p in stacked]
+    ens = accuracy(_sorted_mean(stacked).argmax(axis=1), ds.y)
     return ens, members
 
 

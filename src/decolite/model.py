@@ -17,6 +17,7 @@ what the diversity analysis compares across models.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .arrayio import arrays_checksum, load_bundle, save_bundle
 from .errors import CheckpointError, ConfigError, ShapeError
 from .tensor import (Tensor, as_tensor, assert_finite, batch_norm_1d, concat_channels,
-                     conv1d, dense, global_avg_pool, relu)
+                     conv1d, dense, global_avg_pool, no_grad, relu)
 
 __all__ = [
     "LiteArchitectureConfig",
@@ -187,11 +188,16 @@ class LiteModel:
         the post-activation output of the third convolutional block,
         shaped (B, n_filters, T). Train mode uses batch statistics in the
         batch norms and folds them into the running buffers; eval mode is
-        a pure function of parameters, buffers and input.
+        a pure function of parameters, buffers and input, and records no
+        autodiff graph, so its outputs carry no gradient.
         """
         x = as_tensor(x)
         if x.ndim != 3 or x.shape[1] != 1:
             raise ShapeError(f"expected input of shape (B, 1, T), got {x.shape}")
+        with no_grad() if mode == "eval" else nullcontext():
+            return self._layers(x, mode)
+
+    def _layers(self, x: Tensor, mode: str) -> tuple[Tensor, Tensor]:
         cfg = self.config
 
         branches = [conv1d(x, w) for w in self.first_kernels]

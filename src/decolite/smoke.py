@@ -113,8 +113,7 @@ def _check_model_gradient() -> SmokeCheck:
     frozen = init_model(arch, n_classes=2, seed=9)
     x = T.Tensor(rng.normal(size=(2, 1, 24)))
     targets = np.eye(2)[np.array([0, 1])]
-    _, prev = frozen.forward(x, mode="eval")
-    prev_const = prev.detach()
+    _, prev_const = frozen.forward(x, mode="eval")
 
     def build_loss():
         logits, feats = net.forward(x, mode="train")

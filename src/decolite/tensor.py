@@ -11,7 +11,8 @@ output, so the autodiff graph is the DAG of :class:`Tensor` nodes reached
 through ``_parents``. :func:`backward` walks that DAG once in reverse
 topological order from a scalar root and accumulates gradients into every
 tensor with ``requires_grad`` set. Operations whose inputs carry no
-gradient record nothing, which keeps frozen-model forwards allocation-light.
+gradient record nothing, and neither does any operation run inside
+:func:`no_grad`, which keeps eval-mode forwards allocation-light.
 
 All arithmetic is float64 and every reduction uses a fixed accumulation
 order, so identical inputs produce bit-identical outputs on one platform.
@@ -20,6 +21,8 @@ construction); downstream layers re-check their activations explicitly.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,7 +43,10 @@ __all__ = [
     "concat_channels",
     "absolute",
     "sum_all",
+    "no_grad",
 ]
+
+_record_graph = True
 
 
 class Tensor:
@@ -73,7 +79,7 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = data
         t.grad = None
-        if any(p.requires_grad for p in parents):
+        if _record_graph and any(p.requires_grad for p in parents):
             t.requires_grad = True
             t._parents = parents
             t._backward = grad_fn
@@ -175,6 +181,22 @@ def assert_finite(values, context: str) -> None:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad = g if t.grad is None else t.grad + g
+
+
+@contextmanager
+def no_grad():
+    """Operations run inside the block record no graph.
+
+    Their results have ``requires_grad`` unset, so each intermediate is
+    freed as soon as the next operation has consumed it.
+    """
+    global _record_graph
+    outer = _record_graph
+    _record_graph = False
+    try:
+        yield
+    finally:
+        _record_graph = outer
 
 
 def backward(loss: Tensor) -> None:
@@ -286,11 +308,10 @@ def _conv_forward(xp: np.ndarray, k: np.ndarray, dilation: int, groups: int, t_o
         out = np.ascontiguousarray((win @ k2.T).transpose(0, 2, 1))
         return out, ("im2col", xp, k, dilation, win)
     if groups == cin and cout == cin and cg == 1:
-        # Depthwise: contract the strided window view against the per-channel
-        # taps without materializing it.
-        w = k[:, 0, :]
-        win = _dilated_windows(xp, klen, dilation)
-        out = np.einsum("bctk,ck->bct", win, w, optimize=True)
+        # Depthwise: a batched matrix-vector product of the strided window
+        # view with each channel's taps. matmul reads the view in place, so
+        # no K-fold window tensor is materialized.
+        out = np.matmul(_dilated_windows(xp, klen, dilation), k[:, 0, :, None])[..., 0]
         return out, ("depthwise", xp, k, dilation, None)
     if groups == 1:
         # Time-major accumulation so each tap is one batched GEMM.
@@ -334,17 +355,18 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
         return gxp, gk
 
     if path == "depthwise":
-        w = k[:, 0, :]
         if need_kernel:
-            win = _dilated_windows(xp, klen, dilation)
-            gk = np.einsum("bctk,bct->ck", win, g, optimize=True)[:, None, :]
+            # One per-channel dot product of g with the shifted input per tap.
+            gk = np.empty_like(k)
+            for i in range(klen):
+                off = i * dilation
+                gk[:, 0, i] = np.einsum("bct,bct->c", g, xp[:, :, off:off + t])
         if need_input:
             # The input gradient is the correlation of the zero-extended
             # output gradient with the tap-reversed kernel.
             gz = np.zeros((b, cin, t + 2 * span), dtype=np.float64)
             gz[:, :, span:span + t] = g
-            gwin = _dilated_windows(gz, klen, dilation)
-            gxp = np.einsum("bctk,ck->bct", gwin, w[:, ::-1], optimize=True)
+            gxp = np.matmul(_dilated_windows(gz, klen, dilation), k[:, 0, ::-1, None])[..., 0]
         return gxp, gk
 
     if path == "timemajor":
@@ -411,43 +433,46 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
     if mode not in ("train", "eval"):
         raise UsageError(f"unknown batch norm mode {mode!r}")
 
-    if mode == "eval":
-        if running_mean is None or running_var is None:
-            raise StateError("eval-mode batch norm requires initialized running statistics")
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean[None, :, None]) * inv[None, :, None]
-    else:
+    m = x.shape[0] * x.shape[2]
+    train_mode = mode == "train"
+    if train_mode:
         mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        xhat = x.data - mean[None, :, None]
+        var = np.einsum("bct,bct->c", xhat, xhat) / m
         if running_mean is not None:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mean
         if running_var is not None:
             running_var *= momentum
             running_var += (1.0 - momentum) * var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean[None, :, None]) * inv[None, :, None]
+    else:
+        if running_mean is None or running_var is None:
+            raise StateError("eval-mode batch norm requires initialized running statistics")
+        var = running_var
+        xhat = x.data - running_mean[None, :, None]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv[None, :, None]
 
-    out = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
-    m = x.shape[0] * x.shape[2]
-    train_mode = mode == "train"
+    out = xhat * gamma.data[None, :, None]
+    out += beta.data[None, :, None]
 
     def grad_fn(g):
+        # Both per-channel sums serve the gamma and beta gradients and, in
+        # train mode, the two batch-statistics terms of the input gradient.
+        sg = g.sum(axis=(0, 2))
+        sgx = np.einsum("bct,bct->c", g, xhat)
         if gamma.requires_grad:
-            _accumulate(gamma, np.einsum("bct,bct->c", g, xhat))
+            _accumulate(gamma, sgx)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2)))
+            _accumulate(beta, sg)
         if x.requires_grad:
-            dxhat = g * gamma.data[None, :, None]
+            scale = gamma.data * inv
+            gx = g * scale[None, :, None]
             if train_mode:
                 # Batch statistics depend on x, so their gradient terms
                 # (mean and xhat-projection removal) are included.
-                s1 = dxhat.sum(axis=(0, 2)) / m
-                s2 = np.einsum("bct,bct->c", dxhat, xhat) / m
-                gx = inv[None, :, None] * (dxhat - s1[None, :, None]
-                                           - xhat * s2[None, :, None])
-            else:
-                gx = dxhat * inv[None, :, None]
+                gx -= xhat * (scale * sgx / m)[None, :, None]
+                gx -= (scale * sg / m)[None, :, None]
             _accumulate(x, gx)
 
     return Tensor._op(out, (x, gamma, beta), grad_fn)

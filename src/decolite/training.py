@@ -237,8 +237,7 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
                 if cached is not None:
                     prev_feats = [Tensor(f[idx]) for f in cached]
                 else:
-                    prev_feats = [p.forward(xb, mode="eval")[1].detach()
-                                  for p in prev_models]
+                    prev_feats = [p.forward(xb, mode="eval")[1] for p in prev_models]
                 # A zero-weight penalty must not touch the gradient graph,
                 # so detach it when only cross-entropy counts.
                 feats_for_orth = feats.detach() if config.alpha == 1.0 else feats

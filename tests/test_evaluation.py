@@ -5,9 +5,10 @@ import pytest
 
 from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, FormatError, InputError, UsageError
-from decolite.evaluation import (ResultsTable, accuracy, ensemble_predict,
+from decolite import evaluation
+from decolite.evaluation import (ResultsTable, accuracy, ensemble_accuracy, ensemble_predict,
                                  format_p_value, mcm, wilcoxon_signed_rank)
-from decolite.model import LiteArchitectureConfig, init_model
+from decolite.model import LiteArchitectureConfig, LiteModel, init_model
 
 from oracles import wilcoxon_enumerate
 
@@ -68,6 +69,27 @@ class TestEnsemblePredict:
     def test_needs_models(self, xs):
         with pytest.raises(UsageError):
             ensemble_predict([], xs)
+
+
+class TestEnsembleAccuracy:
+    def test_one_forward_per_member_same_results(self, models, monkeypatch):
+        ds = synthetic_trend_dataset(n=10, length=24, seed=5)
+        probs = ensemble_predict(models, ds.X)
+        want_ens = accuracy(probs.argmax(axis=1), ds.y)
+        want_members = [accuracy(evaluation._model_probs(m, ds.X).argmax(axis=1), ds.y)
+                        for m in models]
+
+        calls = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            calls.append(mode)
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        ens, members = ensemble_accuracy(models, ds)
+        assert calls == ["eval"] * len(models)
+        assert ens == want_ens and members == want_members
 
 
 class TestAccuracy:

@@ -1,0 +1,91 @@
+"""Resume and failure reporting of scripts/run_full_benchmark.py."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from decolite.data import synthetic_trend_dataset
+from decolite.model import load_model, model_checksum
+from decolite.training import TrainConfig
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_benchmark.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    spec = importlib.util.spec_from_file_location("run_full_benchmark", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _write_ucr(path, ds):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for label, row in zip(ds.y, ds.X[:, 0, :]):
+            fh.write("\t".join([str(int(label))] + [repr(float(v)) for v in row]) + "\n")
+
+
+def _failures(out):
+    with open(out / "failures.csv", encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestResume:
+    def test_truncated_checkpoint_is_retrained(self, script, tmp_path, monkeypatch):
+        ds = synthetic_trend_dataset(n=8, length=16)
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        path = tmp_path / "models" / "base0.ckpt"
+        first = script._train_or_load(path, "base", ds, cfg, None)
+        path.write_bytes(path.read_bytes()[:100])
+
+        calls = []
+        real_train = script.train_base
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(script, "train_base", counting_train)
+        again = script._train_or_load(path, "base", ds, cfg, None)
+        assert len(calls) == 1
+        assert model_checksum(again) == model_checksum(first)
+        assert model_checksum(load_model(path)) == model_checksum(first)
+
+        # an intact checkpoint is loaded, not retrained
+        script._train_or_load(path, "base", ds, cfg, None)
+        assert len(calls) == 1
+
+
+class TestFailureReport:
+    def test_skipped_dataset_is_listed(self, script, tmp_path):
+        root = tmp_path / "archive"
+        _write_ucr(root / "Good" / "Good_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
+        _write_ucr(root / "Good" / "Good_TEST.tsv",
+                   synthetic_trend_dataset(n=8, length=16, split="test"))
+        _write_ucr(root / "Bad" / "Bad_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
+        out = tmp_path / "out"
+        base = ["--data-root", str(root), "--out", str(out), "--runs", "1", "--epochs", "1"]
+
+        script.main(base + ["--datasets", "Good,Bad"])
+        rows = _failures(out)
+        assert rows[0] == ["dataset", "error"]
+        assert [r[0] for r in rows[1:]] == ["Bad"]
+        assert rows[1][1].startswith("FileNotFoundError")
+        with open(out / "results.csv", encoding="utf-8") as fh:
+            assert [ln.split(",")[0] for ln in fh.read().splitlines()[1:]] == ["Good"]
+
+        script.main(base + ["--datasets", "Good"])
+        assert _failures(out) == [["dataset", "error"]]
+
+    def test_nothing_finished_exits_nonzero(self, script, tmp_path):
+        out = tmp_path / "out"
+        (tmp_path / "archive").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--data-root", str(tmp_path / "archive"), "--out", str(out),
+                         "--datasets", "Missing"])
+        assert exc.value.code == 1
+        assert [r[0] for r in _failures(out)] == ["dataset", "Missing"]
+        assert not (out / "results.csv").exists()

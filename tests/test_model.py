@@ -1,5 +1,8 @@
 """LITE model: custom filters, initialization, forward contracts, checkpoints."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -153,6 +156,28 @@ class TestForward:
         b, _ = model.forward(x, mode="eval")
         assert np.array_equal(a.data, b.data)
 
+    def test_eval_forward_records_no_graph(self, arch, rng):
+        model = init_model(arch, 2, 0)
+        x = rng.normal(size=(2, 1, 25))
+        logits, feats = model.forward(x, mode="eval")
+        assert not logits.requires_grad and not feats.requires_grad
+        assert logits._parents == () and feats._parents == ()
+        logits, _ = model.forward(x, mode="train")
+        assert logits.requires_grad
+
+    def test_eval_forward_peak_memory_is_a_few_activations(self, arch, rng):
+        model = init_model(arch, 2, 0)
+        x = rng.normal(size=(8, 1, 256))
+        activation = 8 * (32 * 3 + 17) * 256 * 8  # one 113-channel float64 map
+        tracemalloc.start()
+        try:
+            model.forward(x, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 4.6x; a recorded graph keeps every intermediate alive (about 13x).
+        assert peak <= 5 * activation
+
     def test_train_forward_updates_running_stats(self, arch, rng):
         model = init_model(arch, 2, 0)
         before = model._bn[0]["mean"].copy()
@@ -236,3 +261,20 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, arch, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        old = init_model(arch, 2, 0)
+        save_model(old, path)
+
+        def half_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+        with pytest.raises(OSError):
+            save_model(init_model(arch, 2, 1), path)
+        monkeypatch.undo()
+        assert model_checksum(load_model(path)) == model_checksum(old)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

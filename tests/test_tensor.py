@@ -1,5 +1,7 @@
 """Tensor primitives: contract examples, gradients, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,17 @@ class TestTensorBasics:
         T.backward(T.sum_all(y * y))
         np.testing.assert_allclose(y.grad, 2.0 * y.data)
 
+    def test_no_grad_records_nothing_and_restores(self):
+        x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        with T.no_grad():
+            inside = T.relu(x)
+        assert not inside.requires_grad and inside._parents == ()
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("leaves the block")
+        after = T.relu(x)
+        assert after.requires_grad and after._parents == (x,)
+
 
 class TestConv1d:
     def test_identity_kernel(self):
@@ -97,6 +110,35 @@ class TestConv1d:
         for c in range(5):
             single = conv1d_direct(x[:, c:c + 1, :], k[c:c + 1])
             np.testing.assert_allclose(grouped[:, c:c + 1, :], single, atol=1e-12)
+
+    @pytest.mark.parametrize("channels,dilation", [(113, 2), (32, 4)])
+    def test_depthwise_at_model_shapes_matches_direct_summation(self, rng, channels,
+                                                                 dilation):
+        # The default architecture's two depthwise layers, both with k=20.
+        x = rng.normal(size=(2, channels, 64))
+        k = rng.normal(size=(channels, 1, 20))
+        out = T.conv1d(T.Tensor(x), T.Tensor(k), dilation=dilation, groups=channels)
+        np.testing.assert_allclose(
+            out.data, conv1d_direct(x, k, dilation=dilation, groups=channels), atol=1e-12)
+
+    def test_depthwise_forward_does_not_copy_windows(self, rng):
+        x = T.Tensor(rng.normal(size=(4, 113, 256)))
+        k = T.Tensor(rng.normal(size=(113, 1, 20)))
+        tracemalloc.start()
+        try:
+            out = T.conv1d(x, k, dilation=2, groups=113)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The padded input plus the output; a K-fold window copy is ~20x.
+        assert peak <= 3 * out.data.nbytes
+
+    def test_depthwise_gradients_long_dilated_kernel(self, rng):
+        x = T.Tensor(rng.normal(size=(2, 3, 30)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(3, 1, 7)), requires_grad=True)
+        bias = T.Tensor(rng.normal(size=3), requires_grad=True)
+        gradcheck(lambda: T.sum_all(T.absolute(
+            T.conv1d(x, k, bias, dilation=4, groups=3))), [x, k, bias], rng)
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("groups", [1, 4])
