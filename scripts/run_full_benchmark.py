@@ -36,7 +36,7 @@ import numpy as np
 from decolite.data import load_dataset, resolve_data_root
 from decolite.diversity import feature_statistics, fid
 from decolite.errors import CheckpointError
-from decolite.evaluation import (ResultsTable, ensemble_predict, accuracy,
+from decolite.evaluation import (ResultsTable, _member_probs, _sorted_mean, accuracy,
                                  format_p_value, mcm, wilcoxon_signed_rank)
 from decolite.model import load_model, save_model
 from decolite.training import TrainConfig, train_base, train_decorrelated
@@ -75,9 +75,12 @@ def run_dataset(name, root, out, cfg, n_runs):
                 deco_models.append(_train_or_load(mdir / f"deco{i}.ckpt", "deco",
                                                   train_ds, run_cfg,
                                                   deco_models.copy()))
-        for s in SIZES:
-            for prefix, chain in (("", base_models), ("Deco-", deco_models)):
-                probs = ensemble_predict(chain[:s], test_ds.X)
+        for prefix, chain in (("", base_models), ("Deco-", deco_models)):
+            # One forward per member; each size scores a prefix of these
+            # outputs, with the same sorted mean as ensemble_predict.
+            member_probs = _member_probs(chain, test_ds.X)
+            for s in SIZES:
+                probs = _sorted_mean(member_probs[:s].copy())
                 acc[f"{prefix}LITETime-{s}"].append(
                     accuracy(probs.argmax(axis=1), test_ds.y))
         ref_stats = feature_statistics(base_models[0], test_ds.X, "ref")

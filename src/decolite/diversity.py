@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, UsageError
-from .model import LiteModel, extract_final_filters
+from .model import LiteModel, _eval_chunks, extract_final_filters
 
 __all__ = [
     "FeatureStats",
@@ -57,13 +57,13 @@ def feature_statistics(model: LiteModel, x: np.ndarray,
     """Fit mean and unbiased covariance to time-pooled eval-mode features.
 
     Features are the per-channel time averages of the final block's
-    output, one vector per sample.
+    output, one vector per sample. The forwards run in chunks, so memory
+    does not grow with the number of samples.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
         raise UsageError("feature statistics need at least two samples")
-    _, feats = model.forward(x, mode="eval")
-    pooled = feats.data.mean(axis=2)
+    pooled = np.concatenate([feats.mean(axis=2) for _, _, feats in _eval_chunks(model, x)])
     mu = pooled.mean(axis=0)
     sigma = np.cov(pooled, rowvar=False, ddof=1)
     return FeatureStats(model_id=model_id, mu=mu, sigma=np.atleast_2d(sigma),
@@ -132,17 +132,17 @@ def dtw(a, b) -> float:
 
 def _dtw_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """dtw() per row pair of two equal-length (P, L) stacks, vectorized
-    over pairs with the same recurrence the scalar version uses."""
-    p, length = left.shape
-    cost = (left[:, :, None] - right[:, None, :]) ** 2
-    acc = np.full((p, length + 1, length + 1), np.inf)
-    acc[:, 0, 0] = 0.0
+    over pairs with the same recurrence the scalar version uses. The pair
+    axis is last, so each cell update reads and writes contiguous P-vectors."""
+    _, length = left.shape
+    cost = (left.T[:, None, :] - right.T[None, :, :]) ** 2
+    acc = np.full((length + 1, length + 1, left.shape[0]), np.inf)
+    acc[0, 0] = 0.0
     for i in range(1, length + 1):
         for j in range(1, length + 1):
-            best = np.minimum(np.minimum(acc[:, i - 1, j], acc[:, i, j - 1]),
-                              acc[:, i - 1, j - 1])
-            acc[:, i, j] = cost[:, i - 1, j - 1] + best
-    return acc[:, length, length]
+            best = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1])
+            acc[i, j] = cost[i - 1, j - 1] + best
+    return acc[length, length]
 
 
 @dataclass

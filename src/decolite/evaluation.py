@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import TimeSeriesDataset
 from .errors import ConfigError, FormatError, InputError, UsageError
-from .model import LiteModel
+from .model import LiteModel, _eval_chunks
 
 __all__ = [
     "ensemble_predict",
@@ -31,8 +31,6 @@ __all__ = [
     "format_p_value",
 ]
 
-_PREDICT_CHUNK = 128
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
@@ -41,11 +39,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _model_probs(model: LiteModel, x: np.ndarray) -> np.ndarray:
-    chunks = []
-    for start in range(0, x.shape[0], _PREDICT_CHUNK):
-        logits, _ = model.forward(x[start:start + _PREDICT_CHUNK], mode="eval")
-        chunks.append(_softmax(logits.data))
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([_softmax(logits) for _, logits, _ in _eval_chunks(model, x)])
 
 
 def _member_probs(models: list[LiteModel], x) -> np.ndarray:

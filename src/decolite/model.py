@@ -47,6 +47,10 @@ __all__ = [
 # fixed denominator for model-size ratio reporting.
 INCEPTIONTIME_REFERENCE_PARAM_COUNT = 420_192
 
+# Rows per eval forward in _eval_chunks, which bounds an eval pass's
+# memory by the chunk rather than by the split.
+_PREDICT_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class LiteArchitectureConfig:
@@ -290,6 +294,20 @@ def init_model(config: LiteArchitectureConfig, n_classes: int, seed: int) -> Lit
     gamma=1, beta=0 with running buffers at mean=0, var=1.
     """
     return LiteModel(config, n_classes, seed)
+
+
+def _eval_chunks(model: LiteModel, x):
+    """Eval forwards over ``x`` in ``_PREDICT_CHUNK``-row chunks.
+
+    Yields (row slice, logits, feature map) with numpy arrays per chunk.
+    Eval forwards are pure per sample, so the chunks hold the same bits
+    as one forward over the whole of ``x``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    for start in range(0, x.shape[0], _PREDICT_CHUNK):
+        rows = slice(start, start + _PREDICT_CHUNK)
+        logits, feats = model.forward(x[rows], mode="eval")
+        yield rows, logits.data, feats.data
 
 
 def extract_final_filters(model: LiteModel) -> np.ndarray:

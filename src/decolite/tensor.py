@@ -279,10 +279,10 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
 
     def grad_fn(g):
         if x.requires_grad or kernel.requires_grad:
-            gxp, gk = _conv_backward(saved, g, need_input=x.requires_grad,
-                                     need_kernel=kernel.requires_grad)
+            gx, gk = _conv_backward(saved, g, need_input=x.requires_grad,
+                                    need_kernel=kernel.requires_grad)
             if x.requires_grad:
-                _accumulate(x, gxp[:, :, pad_left:pad_left + t])
+                _accumulate(x, gx)
             if kernel.requires_grad:
                 _accumulate(kernel, gk)
         if bias is not None and bias.requires_grad:
@@ -334,12 +334,30 @@ def _conv_forward(xp: np.ndarray, k: np.ndarray, dilation: int, groups: int, t_o
 
 
 def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool):
+    """(input gradient, kernel gradient) of a convolution, either None when
+    not needed; the input gradient is with respect to the unpadded input."""
     path, xp, k, dilation, extra = saved
     b, cin, tp = xp.shape
     cout, cg, klen = k.shape
     t = g.shape[2]
     span = (klen - 1) * dilation
+    pad_left = span // 2
     gxp = gk = None
+
+    if path == "depthwise":
+        if need_kernel:
+            # One contraction of g with the strided window view, which
+            # einsum reads in place.
+            gk = np.einsum("bct,bctk->ck", g, _dilated_windows(xp, klen, dilation))[:, None, :]
+        if need_input:
+            # The input gradient is the correlation of the zero-extended
+            # output gradient with the tap-reversed kernel, evaluated only
+            # at the unpadded positions.
+            gz = np.zeros((b, cin, t + span), dtype=np.float64)
+            gz[:, :, span - pad_left:span - pad_left + t] = g
+            return (np.matmul(_dilated_windows(gz, klen, dilation),
+                              k[:, 0, ::-1, None])[..., 0], gk)
+        return None, gk
 
     if path == "im2col":
         win = extra
@@ -352,24 +370,7 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
             for i in range(klen):
                 off = i * dilation
                 gxp[:, 0, off:off + t] += gwin[:, :, i]
-        return gxp, gk
-
-    if path == "depthwise":
-        if need_kernel:
-            # One per-channel dot product of g with the shifted input per tap.
-            gk = np.empty_like(k)
-            for i in range(klen):
-                off = i * dilation
-                gk[:, 0, i] = np.einsum("bct,bct->c", g, xp[:, :, off:off + t])
-        if need_input:
-            # The input gradient is the correlation of the zero-extended
-            # output gradient with the tap-reversed kernel.
-            gz = np.zeros((b, cin, t + 2 * span), dtype=np.float64)
-            gz[:, :, span:span + t] = g
-            gxp = np.matmul(_dilated_windows(gz, klen, dilation), k[:, 0, ::-1, None])[..., 0]
-        return gxp, gk
-
-    if path == "timemajor":
+    elif path == "timemajor":
         xpt = extra
         gt = np.ascontiguousarray(g.transpose(0, 2, 1))
         if need_kernel:
@@ -383,26 +384,25 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
                 off = i * dilation
                 gxpt[:, off:off + t, :] += gt @ k[:, :, i]
             gxp = np.ascontiguousarray(gxpt.transpose(0, 2, 1))
-        return gxp, gk
-
-    groups = cin // cg
-    og = cout // groups
-    xg = xp.reshape(b, groups, cg, tp)
-    gg = g.reshape(b, groups, og, t)
-    kg = k.reshape(groups, og, cg, klen)
-    gxp = np.zeros_like(xp) if need_input else None
-    gk = np.zeros_like(k) if need_kernel else None
-    gxg = gxp.reshape(b, groups, cg, tp) if need_input else None
-    gkg = gk.reshape(groups, og, cg, klen) if need_kernel else None
-    for i in range(klen):
-        off = i * dilation
-        if need_input:
-            gxg[:, :, :, off:off + t] += np.einsum("bgot,goc->bgct", gg, kg[:, :, :, i],
-                                                   optimize=True)
-        if need_kernel:
-            gkg[:, :, :, i] = np.einsum("bgot,bgct->goc", gg, xg[:, :, :, off:off + t],
-                                        optimize=True)
-    return gxp, gk
+    else:
+        groups = cin // cg
+        og = cout // groups
+        xg = xp.reshape(b, groups, cg, tp)
+        gg = g.reshape(b, groups, og, t)
+        kg = k.reshape(groups, og, cg, klen)
+        gxp = np.zeros_like(xp) if need_input else None
+        gk = np.zeros_like(k) if need_kernel else None
+        gxg = gxp.reshape(b, groups, cg, tp) if need_input else None
+        gkg = gk.reshape(groups, og, cg, klen) if need_kernel else None
+        for i in range(klen):
+            off = i * dilation
+            if need_input:
+                gxg[:, :, :, off:off + t] += np.einsum("bgot,goc->bgct", gg, kg[:, :, :, i],
+                                                       optimize=True)
+            if need_kernel:
+                gkg[:, :, :, i] = np.einsum("bgot,bgct->goc", gg, xg[:, :, :, off:off + t],
+                                            optimize=True)
+    return (None if gxp is None else gxp[:, :, pad_left:pad_left + t]), gk
 
 
 # ---------------------------------------------------------------------------

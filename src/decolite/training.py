@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import TimeSeriesDataset, batch_indices
 from .errors import ConfigError, NumericError, ShapeError, UsageError
-from .model import LiteArchitectureConfig, LiteModel, init_model, save_model
+from .model import LiteArchitectureConfig, LiteModel, _eval_chunks, init_model, save_model
 from .optim import Adam, ReduceLROnPlateau
 from .tensor import (Tensor, absolute, as_tensor, backward, cosine_similarity_matrix,
                      softmax_cross_entropy, sum_all)
@@ -42,8 +42,9 @@ __all__ = [
     "EnsembleBuild",
 ]
 
-# Above this many bytes the per-model feature cache for frozen
-# predecessors is skipped and features are recomputed per batch.
+# Above this many bytes, counted over every frozen predecessor of the model
+# in training, their training-set features are not cached but recomputed
+# per batch.
 _FEATURE_CACHE_LIMIT = 1_500_000_000
 
 
@@ -188,31 +189,38 @@ def _check_feature_compat(model: LiteModel, prev: list[LiteModel], ds) -> None:
                               f"dataset has {model.n_classes}")
 
 
-def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset):
-    """Eval-mode feature maps of frozen models over the whole training set.
+def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset,
+                     cache: list[np.ndarray]):
+    """Eval-mode feature maps of the frozen models over the training set.
 
-    Eval forwards are pure per sample, so caching them once is equivalent
-    to recomputing per batch. Falls back to per-batch computation when the
-    cache would be too large.
+    ``cache`` holds the maps of the first ``len(cache)`` models of ``prev``
+    from an earlier call; the maps of the others are computed and appended
+    to it, so a chain that passes one list to every member's training
+    forwards each member once. Returns ``cache``, or empties it and returns
+    None when the maps of all of ``prev`` together would exceed
+    ``_FEATURE_CACHE_LIMIT``; the caller then recomputes them per batch.
+    Eval forwards are pure per sample, so both give the same bits.
     """
-    total = len(prev) * ds.n * prev[0].config.n_filters * ds.length * 8 if prev else 0
-    if total > _FEATURE_CACHE_LIMIT:
+    if len(prev) * ds.n * prev[0].config.n_filters * ds.length * 8 > _FEATURE_CACHE_LIMIT:
+        cache.clear()
         return None
-    cached = []
-    for p in prev:
-        _, feats = p.forward(ds.X, mode="eval")
-        cached.append(feats.data)
-    return cached
+    for p in prev[len(cache):]:
+        maps = np.empty((ds.n, p.config.n_filters, ds.length))
+        for rows, _, feats in _eval_chunks(p, ds.X):
+            maps[rows] = feats
+        cache.append(maps)
+    return cache
 
 
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
-                prev_models: list[LiteModel], out_dir=None):
+                prev_models: list[LiteModel], out_dir=None, feature_cache=None):
     config.validate()
     out_dir = Path(out_dir) if out_dir is not None else None
     use_orth = bool(prev_models)
     if use_orth:
         _check_feature_compat(model, prev_models, ds)
-    cached = _frozen_features(prev_models, ds) if use_orth else None
+    cached = (_frozen_features(prev_models, ds, [] if feature_cache is None else feature_cache)
+              if use_orth else None)
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -325,7 +333,9 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     "base" trains every member independently with cross-entropy, one seed
     per member. "deco" trains the first seed's member with cross-entropy
     as the fixed reference, then each further member sequentially with the
-    orthogonality penalty against all members trained before it.
+    orthogonality penalty against all members trained before it. Each
+    member's training-set features are computed once, when the member
+    after it starts, and kept for the rest of the chain.
     """
     if kind not in ("base", "deco"):
         raise ConfigError(f"ensemble kind must be 'base' or 'deco', got {kind!r}")
@@ -342,13 +352,17 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
 
     models: list[LiteModel] = []
     logs: list[TrainLog] = []
+    feature_cache: list[np.ndarray] = []
     for i, seed in enumerate(seeds):
         member_cfg = replace(config, seed=seed)
         out_dir = out_dirs[i] if out_dirs is not None else None
         if kind == "base" or i == 0:
             model, log = train_base(ds, member_cfg, arch, out_dir)
         else:
-            model, log = train_decorrelated(ds, member_cfg, models.copy(), arch, out_dir)
+            # train_decorrelated, with one feature cache shared down the chain.
+            model = init_model(arch or models[0].config, ds.n_classes, seed)
+            model, log = _train_loop(ds, member_cfg, model, models.copy(), out_dir,
+                                     feature_cache)
         models.append(model)
         logs.append(log)
 

@@ -1,5 +1,7 @@
 """Feature statistics, Frechet distances, warping distances, 2-D embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ class TestFeatureStatistics:
     def test_needs_two_samples(self, models):
         with pytest.raises(UsageError):
             feature_statistics(models[0], synthetic_trend_dataset(4, 20, 0).X[:1])
+
+    def test_chunked_forwards_match_one_forward_in_bounded_memory(self, models):
+        x = synthetic_trend_dataset(n=300, length=32, seed=2).X
+        pooled = models[0].forward(x, mode="eval")[1].data.mean(axis=2)
+        stats = feature_statistics(models[0], x)
+        assert np.array_equal(stats.mu, pooled.mean(axis=0))
+        assert np.array_equal(stats.sigma, np.cov(pooled, rowvar=False, ddof=1))
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = peak(lambda: models[0].forward(x[:128], mode="eval"))
+        # One forward over all 300 rows peaks at about 2.3 chunks.
+        assert peak(lambda: feature_statistics(models[0], x)) <= 1.25 * chunk
 
 
 class TestFid:
@@ -148,6 +169,18 @@ class TestDtw:
         right = rng.normal(size=(12, 9))
         batched = _dtw_batch(left, right)
         for i in range(12):
+            assert batched[i] == dtw(left[i], right[i])
+
+    @pytest.mark.parametrize("length", [1, 20])
+    def test_batch_path_equals_scalar_path_with_ties(self, rng, length):
+        left = rng.normal(size=(8, length))
+        right = rng.normal(size=(8, length))
+        left[0] = right[0]                      # zero cost along the diagonal
+        left[1], right[1] = 0.0, 1.0            # every cell costs the same
+        left[2:5] = rng.integers(-1, 2, size=(3, length))
+        right[2:5] = rng.integers(-1, 2, size=(3, length))
+        batched = _dtw_batch(left, right)
+        for i in range(8):
             assert batched[i] == dtw(left[i], right[i])
 
 

@@ -4,10 +4,12 @@ import csv
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from decolite.data import synthetic_trend_dataset
-from decolite.model import load_model, model_checksum
+from decolite.data import load_dataset, synthetic_trend_dataset
+from decolite.evaluation import accuracy, ensemble_predict
+from decolite.model import LiteModel, load_model, model_checksum
 from decolite.training import TrainConfig
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_benchmark.py"
@@ -89,3 +91,34 @@ class TestFailureReport:
         assert exc.value.code == 1
         assert [r[0] for r in _failures(out)] == ["dataset", "Missing"]
         assert not (out / "results.csv").exists()
+
+
+class TestScoring:
+    def test_one_test_forward_per_member(self, script, tmp_path, monkeypatch):
+        root = tmp_path / "archive"
+        _write_ucr(root / "Good" / "Good_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
+        _write_ucr(root / "Good" / "Good_TEST.tsv",
+                   synthetic_trend_dataset(n=6, length=16, split="test"))
+        out = tmp_path / "out"
+        _, test = load_dataset(root, "Good")
+
+        test_forwards = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            if mode == "eval" and np.shape(getattr(x, "data", x))[0] == test.n:
+                test_forwards.append(1)
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        accs, _, _ = script.run_dataset("Good", root, out, TrainConfig(epochs=1), 1)
+        # Five members per chain, plus three feature_statistics forwards.
+        assert len(test_forwards) == 2 * 5 + 3
+
+        mdir = out / "models" / "Good" / "run0"
+        base = [load_model(mdir / f"base{i}.ckpt") for i in range(5)]
+        deco = base[:1] + [load_model(mdir / f"deco{i}.ckpt") for i in range(1, 5)]
+        for s in script.SIZES:
+            for prefix, chain in (("", base), ("Deco-", deco)):
+                probs = ensemble_predict(chain[:s], test.X)
+                assert accs[f"{prefix}LITETime-{s}"] == accuracy(probs.argmax(axis=1), test.y)

@@ -140,6 +140,31 @@ class TestConv1d:
         gradcheck(lambda: T.sum_all(T.absolute(
             T.conv1d(x, k, bias, dilation=4, groups=3))), [x, k, bias], rng)
 
+    @pytest.mark.parametrize("length,klen,dilation", [
+        (16, 20, 4),  # 38 + 38 padded positions around a 16-step input
+        (11, 4, 1),   # an odd span of 3: one padded position left, two right
+    ])
+    def test_depthwise_gradients_padding_edges(self, rng, length, klen, dilation):
+        x = T.Tensor(rng.normal(size=(2, 3, length)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(3, 1, klen)), requires_grad=True)
+        gradcheck(lambda: T.sum_all(T.absolute(
+            T.conv1d(x, k, dilation=dilation, groups=3))), [x, k], rng)
+
+    def test_depthwise_backward_does_not_copy_windows(self, rng):
+        x = T.Tensor(rng.normal(size=(4, 113, 256)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(113, 1, 20)), requires_grad=True)
+        out = T.conv1d(x, k, dilation=2, groups=113)
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The zero-extended gradient plus the input gradient; a K-fold
+        # window copy is ~20x.
+        assert peak <= 3 * x.data.nbytes
+
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_gradients(self, rng, dilation, groups):

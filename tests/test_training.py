@@ -1,11 +1,13 @@
 """Losses and training loops: algebra, contracts, decorrelation effect."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
-from decolite.model import init_model, model_checksum
+from decolite.model import LiteModel, init_model, model_checksum
 from decolite.training import (TrainConfig, build_ensemble, orthogonality_loss,
                                sequential_orthogonality_loss, total_loss, train_base,
                                train_decorrelated)
@@ -332,6 +334,40 @@ class TestBuildEnsemble:
         assert all(r.orth_loss == 0.0 for r in build.logs[0].records)
         assert all(r.orth_loss > 0.0 for r in build.logs[1].records)
         assert all(r.orth_loss > 0.0 for r in build.logs[2].records)
+
+    def test_deco_chain_forwards_each_member_once(self, monkeypatch):
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        rows = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            if mode == "eval":
+                rows.append(np.shape(getattr(x, "data", x))[0])
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        build_ensemble(ds, _quick(epochs=2), size=4, kind="deco")
+        # Members 0-2 once each; the last member is never a predecessor.
+        assert rows == [ds.n] * 3
+
+    @pytest.mark.parametrize("cache_members", [None, 1, 0])
+    def test_deco_chain_matches_hand_built_chain(self, monkeypatch, cache_members):
+        # None keeps the default cache limit; 1 admits one predecessor's
+        # features, so the chain drops its cache at the third member; 0
+        # recomputes every predecessor per batch.
+        from decolite import training as training_mod
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        cfg = _quick(epochs=3)
+        chain = [train_base(ds, replace(cfg, seed=0))[0]]
+        for seed in (1, 2, 3):
+            chain.append(train_decorrelated(ds, replace(cfg, seed=seed), chain.copy())[0])
+        if cache_members is not None:
+            per_member = ds.n * chain[0].config.n_filters * ds.length * 8
+            monkeypatch.setattr(training_mod, "_FEATURE_CACHE_LIMIT",
+                                cache_members * per_member)
+        build = build_ensemble(ds, cfg, size=4, kind="deco")
+        assert [model_checksum(m) for m in build.models] == \
+            [model_checksum(m) for m in chain]
 
     def test_size_outside_range_warns_but_runs(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
