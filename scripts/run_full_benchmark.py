@@ -39,19 +39,21 @@ from decolite.errors import CheckpointError
 from decolite.evaluation import (ResultsTable, _member_probs, _sorted_mean, accuracy,
                                  format_p_value, mcm, wilcoxon_signed_rank)
 from decolite.model import load_model, save_model
-from decolite.training import TrainConfig, train_base, train_decorrelated
+from decolite.training import TrainConfig, _train_member, train_base
 
 SIZES = (2, 3, 4, 5)
 
 
-def _train_or_load(path, kind, ds, cfg, prev):
+def _train_or_load(path, kind, ds, cfg, prev, feature_cache=None):
+    # A deco chain passes one feature_cache list to all its members, so each
+    # member, trained or loaded, is forwarded over the training set once.
     if path.is_file():
         try:
             return load_model(path)
         except CheckpointError as exc:
             print(f"  retraining: {exc}", file=sys.stderr)
     model, _ = (train_base(ds, cfg) if kind == "base"
-                else train_decorrelated(ds, cfg, prev))
+                else _train_member(ds, cfg, prev, None, None, feature_cache))
     path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, path)
     return model
@@ -63,7 +65,7 @@ def run_dataset(name, root, out, cfg, n_runs):
     fid_plain, fid_deco = [], []
     for run in range(n_runs):
         seeds = [run * 100 + k for k in range(5)]
-        base_models, deco_models = [], []
+        base_models, deco_models, feature_cache = [], [], []
         for i, seed in enumerate(seeds):
             run_cfg = replace(cfg, seed=seed)
             mdir = out / "models" / name / f"run{run}"
@@ -73,8 +75,8 @@ def run_dataset(name, root, out, cfg, n_runs):
                 deco_models.append(base_models[0])  # shared reference
             else:
                 deco_models.append(_train_or_load(mdir / f"deco{i}.ckpt", "deco",
-                                                  train_ds, run_cfg,
-                                                  deco_models.copy()))
+                                                  train_ds, run_cfg, deco_models,
+                                                  feature_cache))
         for prefix, chain in (("", base_models), ("Deco-", deco_models)):
             # One forward per member; each size scores a prefix of these
             # outputs, with the same sorted mean as ensemble_predict.

@@ -21,7 +21,7 @@ from .model import (LiteArchitectureConfig, LiteModel, build_custom_filters, ini
                     INCEPTIONTIME_REFERENCE_PARAM_COUNT)
 from .data import (TimeSeriesDataset, load_ucr_split, load_dataset, z_normalize,
                    interpolate_missing, handle_irregular, batch_indices,
-                   synthetic_trend_dataset, save_dataset_cache, load_dataset_cache)
+                   synthetic_trend_dataset)
 from .training import (TrainConfig, TrainLog, orthogonality_loss,
                        sequential_orthogonality_loss, total_loss, train_base,
                        train_decorrelated, build_ensemble)

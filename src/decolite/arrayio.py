@@ -25,9 +25,7 @@ FORMAT_VERSION = 1
 def save_bundle(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write ``arrays`` (order-preserving) and ``meta`` to ``path``.
 
-    The bytes go to a temp file beside ``path`` that then replaces it, so
-    a write that fails or is killed partway leaves any previous file at
-    ``path`` intact.
+    The write is atomic (see :func:`write_atomic`).
     """
     entries = []
     blobs = []
@@ -40,11 +38,19 @@ def save_bundle(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> N
         sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
     body = _MAGIC + len(header).to_bytes(8, "big") + header + b"".join(blobs)
-    digest = hashlib.sha256(body).digest()
+    write_atomic(path, body + hashlib.sha256(body).digest())
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` that then replaces it.
+
+    A write that fails or is killed partway leaves any previous file at
+    ``path`` intact and no temp file behind.
+    """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(body + digest)
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .arrayio import write_atomic
 from .data import load_dataset, resolve_data_root, synthetic_trend_dataset
 from .diversity import embed_2d, feature_statistics, filter_distance_matrix, write_fid_report
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
@@ -105,15 +106,11 @@ def _append_manifest(run_root: Path, record: dict) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             runs = json.load(fh).get("runs", [])
     runs.append(record)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"runs": runs}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"runs": runs})
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _manifest_record(command: str, run_root: Path, artifacts: list[Path],

@@ -1,7 +1,7 @@
 """Dataset ingestion: UCR-archive TSV files, z-normalization, batching.
 
 Also provides the bundled synthetic two-class set used by the offline
-smoke checks, and a cached on-disk form of a prepared dataset.
+smoke checks.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import load_bundle, save_bundle
 from .errors import ConfigError, DataError, FormatError, UsageError
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "handle_irregular",
     "batch_indices",
     "synthetic_trend_dataset",
-    "save_dataset_cache",
-    "load_dataset_cache",
     "resolve_data_root",
 ]
 
@@ -236,24 +233,6 @@ def synthetic_trend_dataset(n: int = 32, length: int = 16, seed: int = 0,
     ds = _build("synthetic-trend", split, series, labels,
                 {0.0: 0, 1.0: 1}, length)
     return ds
-
-
-def save_dataset_cache(ds: TimeSeriesDataset, path) -> None:
-    """Persist a prepared dataset; the container checksum guards the file."""
-    meta = {
-        "name": ds.name,
-        "split": ds.split,
-        "label_keys": [float(k) for k in ds.label_map],
-        "label_values": [int(v) for v in ds.label_map.values()],
-    }
-    save_bundle(path, "dataset", meta, {"X": ds.X, "y": ds.y, "Y": ds.Y})
-
-
-def load_dataset_cache(path) -> TimeSeriesDataset:
-    _, meta, arrays = load_bundle(path, expected_kind="dataset")
-    label_map = {k: v for k, v in zip(meta["label_keys"], meta["label_values"])}
-    return TimeSeriesDataset(name=meta["name"], split=meta["split"], X=arrays["X"],
-                             y=arrays["y"], Y=arrays["Y"], label_map=label_map)
 
 
 def resolve_data_root(explicit=None):

@@ -12,7 +12,15 @@ through ``_parents``. :func:`backward` walks that DAG once in reverse
 topological order from a scalar root and accumulates gradients into every
 tensor with ``requires_grad`` set. Operations whose inputs carry no
 gradient record nothing, and neither does any operation run inside
-:func:`no_grad`, which keeps eval-mode forwards allocation-light.
+:func:`no_grad`, so an eval-mode forward frees each intermediate as soon
+as the next layer has read it.
+
+The convolution and batch-norm kernels read their activations where they
+lie: no kernel copies an activation into another layout, apart from the
+window matrix of a single-channel input (im2col). Convolutions take one
+of three paths: im2col, depthwise (``einsum`` over a strided window
+view) and channel-major (one GEMM per tap over time slices). Eval-mode
+batch norm is one affine pass.
 
 All arithmetic is float64 and every reduction uses a fixed accumulation
 order, so identical inputs produce bit-identical outputs on one platform.
@@ -267,9 +275,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
             raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
 
     span = (klen - 1) * dilation
-    pad_left = span // 2
-    xp = np.zeros((b, cin, t + span), dtype=np.float64)
-    xp[:, :, pad_left:pad_left + t] = x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (span // 2, span - span // 2))) if span else x.data
 
     out, saved = _conv_forward(xp, kernel.data, dilation, groups, t)
     if bias is not None:
@@ -298,51 +304,44 @@ def _dilated_windows(arr: np.ndarray, klen: int, dilation: int) -> np.ndarray:
 
 
 def _conv_forward(xp: np.ndarray, k: np.ndarray, dilation: int, groups: int, t_out: int):
+    """Output and saved state of a convolution over the padded input ``xp``."""
     b, cin, _ = xp.shape
     cout, cg, klen = k.shape
     if cin == 1 and groups == 1:
         # Single input channel: materialize the window matrix once and use
-        # one GEMM (the multiplexed first layer and the custom filters).
+        # one GEMM per sample that writes the (Cout, T) layout directly.
         win = np.ascontiguousarray(_dilated_windows(xp[:, 0, :], klen, dilation))
-        k2 = k[:, 0, :]
-        out = np.ascontiguousarray((win @ k2.T).transpose(0, 2, 1))
+        out = np.matmul(k[:, 0, :], win.transpose(0, 2, 1))
         return out, ("im2col", xp, k, dilation, win)
     if groups == cin and cout == cin and cg == 1:
-        # Depthwise: a batched matrix-vector product of the strided window
-        # view with each channel's taps. matmul reads the view in place, so
-        # no K-fold window tensor is materialized.
-        out = np.matmul(_dilated_windows(xp, klen, dilation), k[:, 0, :, None])[..., 0]
+        # Depthwise: each channel's taps against the strided window view.
+        # BLAS cannot take the overlapping view, so matmul would fall back
+        # to its slow generic loop; a plain einsum reads the view in place
+        # (optimize=True would copy it).
+        out = np.einsum("bctk,ck->bct", _dilated_windows(xp, klen, dilation), k[:, 0, :])
         return out, ("depthwise", xp, k, dilation, None)
-    if groups == 1:
-        # Time-major accumulation so each tap is one batched GEMM.
-        xpt = np.ascontiguousarray(xp.transpose(0, 2, 1))
-        out_t = np.zeros((b, t_out, cout), dtype=np.float64)
-        for i in range(klen):
-            off = i * dilation
-            out_t += xpt[:, off:off + t_out, :] @ k[:, :, i].T
-        out = np.ascontiguousarray(out_t.transpose(0, 2, 1))
-        return out, ("timemajor", xp, k, dilation, xpt)
+    # Channel-major: per tap, one GEMM per (sample, group) over a time
+    # slice of the (B, groups, Cg, T) input, with no transposed copy.
     og = cout // groups
     xg = xp.reshape(b, groups, cg, -1)
-    kg = k.reshape(groups, og, cg, klen)
-    out = np.zeros((b, groups, og, t_out), dtype=np.float64)
-    for i in range(klen):
+    kt = np.ascontiguousarray(k.reshape(groups, og, cg, klen).transpose(3, 0, 1, 2))
+    out = np.matmul(kt[0], xg[..., :t_out])
+    for i in range(1, klen):
         off = i * dilation
-        seg = xg[:, :, :, off:off + t_out]
-        out += np.einsum("bgct,goc->bgot", seg, kg[:, :, :, i], optimize=True)
-    return out.reshape(b, cout, t_out), ("grouped", xp, k, dilation, None)
+        out += np.matmul(kt[i], xg[..., off:off + t_out])
+    return out.reshape(b, cout, t_out), ("channelmajor", xp, k, dilation, kt)
 
 
 def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool):
     """(input gradient, kernel gradient) of a convolution, either None when
     not needed; the input gradient is with respect to the unpadded input."""
     path, xp, k, dilation, extra = saved
-    b, cin, tp = xp.shape
+    b, cin, _ = xp.shape
     cout, cg, klen = k.shape
     t = g.shape[2]
     span = (klen - 1) * dilation
     pad_left = span // 2
-    gxp = gk = None
+    gx = gk = None
 
     if path == "depthwise":
         if need_kernel:
@@ -353,13 +352,9 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
             # The input gradient is the correlation of the zero-extended
             # output gradient with the tap-reversed kernel, evaluated only
             # at the unpadded positions.
-            gz = np.zeros((b, cin, t + span), dtype=np.float64)
-            gz[:, :, span - pad_left:span - pad_left + t] = g
-            return (np.matmul(_dilated_windows(gz, klen, dilation),
-                              k[:, 0, ::-1, None])[..., 0], gk)
-        return None, gk
-
-    if path == "im2col":
+            gz = np.pad(g, ((0, 0), (0, 0), (span - pad_left, pad_left)))
+            gx = np.einsum("bctk,ck->bct", _dilated_windows(gz, klen, dilation), k[:, 0, ::-1])
+    elif path == "im2col":
         win = extra
         gt = g.transpose(0, 2, 1)
         if need_kernel:
@@ -370,39 +365,32 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
             for i in range(klen):
                 off = i * dilation
                 gxp[:, 0, off:off + t] += gwin[:, :, i]
-    elif path == "timemajor":
-        xpt = extra
-        gt = np.ascontiguousarray(g.transpose(0, 2, 1))
-        if need_kernel:
-            gk = np.empty_like(k)
-            for i in range(klen):
-                off = i * dilation
-                gk[:, :, i] = np.tensordot(gt, xpt[:, off:off + t, :], axes=([0, 1], [0, 1]))
-        if need_input:
-            gxpt = np.zeros((b, tp, cin), dtype=np.float64)
-            for i in range(klen):
-                off = i * dilation
-                gxpt[:, off:off + t, :] += gt @ k[:, :, i]
-            gxp = np.ascontiguousarray(gxpt.transpose(0, 2, 1))
+            gx = gxp[:, :, pad_left:pad_left + t]
     else:
+        kt = extra
         groups = cin // cg
         og = cout // groups
-        xg = xp.reshape(b, groups, cg, tp)
+        xg = xp.reshape(b, groups, cg, -1)
         gg = g.reshape(b, groups, og, t)
-        kg = k.reshape(groups, og, cg, klen)
-        gxp = np.zeros_like(xp) if need_input else None
-        gk = np.zeros_like(k) if need_kernel else None
-        gxg = gxp.reshape(b, groups, cg, tp) if need_input else None
-        gkg = gk.reshape(groups, og, cg, klen) if need_kernel else None
-        for i in range(klen):
-            off = i * dilation
-            if need_input:
-                gxg[:, :, :, off:off + t] += np.einsum("bgot,goc->bgct", gg, kg[:, :, :, i],
-                                                       optimize=True)
-            if need_kernel:
-                gkg[:, :, :, i] = np.einsum("bgot,bgct->goc", gg, xg[:, :, :, off:off + t],
-                                            optimize=True)
-    return (None if gxp is None else gxp[:, :, pad_left:pad_left + t]), gk
+        if need_kernel:
+            # Per-sample g @ x^T, summed over the batch in order.
+            gk = np.stack([np.matmul(gg, xg[..., i * dilation:i * dilation + t]
+                                     .swapaxes(-1, -2)).sum(axis=0)
+                           for i in range(klen)], axis=-1).reshape(cout, cg, klen)
+        if need_input:
+            ktt = kt.swapaxes(-1, -2)
+            if span == 0:
+                gx = np.matmul(ktt[0], gg)
+            else:
+                # Tap i joins input position p to output position p - s.
+                gx = np.zeros((b, groups, cg, t), dtype=np.float64)
+                for i in range(klen):
+                    s = i * dilation - pad_left
+                    lo, hi = max(s, 0), min(s + t, t)
+                    if lo < hi:
+                        gx[..., lo:hi] += np.matmul(ktt[i], gg[..., lo - s:hi - s])
+            gx = gx.reshape(b, cin, t)
+    return gx, gk
 
 
 # ---------------------------------------------------------------------------
@@ -445,34 +433,47 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
         if running_var is not None:
             running_var *= momentum
             running_var += (1.0 - momentum) * var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv[None, :, None]
+        out = xhat * gamma.data[None, :, None]
+        out += beta.data[None, :, None]
     else:
         if running_mean is None or running_var is None:
             raise StateError("eval-mode batch norm requires initialized running statistics")
-        var = running_var
-        xhat = x.data - running_mean[None, :, None]
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv[None, :, None]
-
-    out = xhat * gamma.data[None, :, None]
-    out += beta.data[None, :, None]
+        # One affine pass; the normalized input is formed only if a
+        # backward pass asks for it.
+        mean = running_mean.copy()
+        inv = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * inv
+        out = x.data * scale[None, :, None]
+        out += (beta.data - mean * scale)[None, :, None]
+        xhat = None
 
     def grad_fn(g):
+        xn = xhat if train_mode else (x.data - mean[None, :, None]) * inv[None, :, None]
         # Both per-channel sums serve the gamma and beta gradients and, in
         # train mode, the two batch-statistics terms of the input gradient.
         sg = g.sum(axis=(0, 2))
-        sgx = np.einsum("bct,bct->c", g, xhat)
+        sgx = np.einsum("bct,bct->c", g, xn)
         if gamma.requires_grad:
             _accumulate(gamma, sgx)
         if beta.requires_grad:
             _accumulate(beta, sg)
         if x.requires_grad:
-            scale = gamma.data * inv
-            gx = g * scale[None, :, None]
-            if train_mode:
-                # Batch statistics depend on x, so their gradient terms
-                # (mean and xhat-projection removal) are included.
-                gx -= xhat * (scale * sgx / m)[None, :, None]
-                gx -= (scale * sg / m)[None, :, None]
+            gscale = gamma.data * inv
+            if not train_mode:
+                _accumulate(x, g * gscale[None, :, None])
+                return
+            # Batch statistics depend on x, so their gradient terms (mean
+            # and xhat-projection removal) are included. One sample at a
+            # time, so each term's temporary is one (C, T) slab.
+            c_proj = (gscale * sgx / m)[:, None]
+            c_mean = (gscale * sg / m)[:, None]
+            gx = np.empty_like(g)
+            for g_b, xhat_b, gx_b in zip(g, xn, gx):
+                np.multiply(g_b, gscale[:, None], out=gx_b)
+                gx_b -= xhat_b * c_proj
+                gx_b -= c_mean
             _accumulate(x, gx)
 
     return Tensor._op(out, (x, gamma, beta), grad_fn)

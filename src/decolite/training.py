@@ -311,11 +311,21 @@ def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
     seeded from ``config.seed``, which callers pair with the seed of the
     corresponding plain model so that both start bit-identical.
     """
+    return _train_member(ds, config, prev_models, arch, out_dir, None)
+
+
+def _train_member(ds, config, prev_models, arch, out_dir, feature_cache):
+    """``train_decorrelated`` with a feature list shared down a chain.
+
+    Callers that train a chain member by member pass one list for the
+    whole chain, so each member's features are computed once (see
+    ``_frozen_features``); None computes them afresh.
+    """
     if not prev_models:
         raise UsageError("decorrelated training requires at least one previous model")
     arch = arch or prev_models[0].config
     model = init_model(arch, ds.n_classes, config.seed)
-    return _train_loop(ds, config, model, list(prev_models), out_dir)
+    return _train_loop(ds, config, model, list(prev_models), out_dir, feature_cache)
 
 
 @dataclass
@@ -359,10 +369,7 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
         if kind == "base" or i == 0:
             model, log = train_base(ds, member_cfg, arch, out_dir)
         else:
-            # train_decorrelated, with one feature cache shared down the chain.
-            model = init_model(arch or models[0].config, ds.n_classes, seed)
-            model, log = _train_loop(ds, member_cfg, model, models.copy(), out_dir,
-                                     feature_cache)
+            model, log = _train_member(ds, member_cfg, models, arch, out_dir, feature_cache)
         models.append(model)
         logs.append(log)
 

@@ -1,12 +1,13 @@
 """Command-line contracts: layouts, manifests, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from decolite import arrayio
-from decolite.cli import dispatch
+from decolite.cli import _append_manifest, dispatch
 from decolite.evaluation import ResultsTable, mcm
 
 
@@ -74,6 +75,27 @@ class TestTrainCommand:
                              "--epochs", "5", "--out", str(tmp_path / "runs"),
                              "--config", str(cfg)])
         assert code == 3
+
+
+class TestManifestWrite:
+    def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        _append_manifest(tmp_path, {"command": "train"})
+        before = (tmp_path / "manifest.json").read_bytes()
+
+        def half_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", half_write)
+        with pytest.raises(OSError):
+            _append_manifest(tmp_path, {"command": "evaluate"})
+        monkeypatch.undo()
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        # the next command appends to the intact manifest
+        _append_manifest(tmp_path, {"command": "evaluate"})
+        assert [r["command"] for r in _manifest(tmp_path)["runs"]] == ["train", "evaluate"]
 
 
 class TestConfigFile:

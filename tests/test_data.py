@@ -1,11 +1,11 @@
-"""Ingestion: TSV parsing, normalization, batching, caching, synthetic data."""
+"""Ingestion: TSV parsing, normalization, batching, synthetic data."""
 
 import numpy as np
 import pytest
 
 from decolite.data import (batch_indices, handle_irregular, interpolate_missing,
-                           load_dataset, load_dataset_cache, load_ucr_split,
-                           save_dataset_cache, synthetic_trend_dataset, z_normalize)
+                           load_dataset, load_ucr_split, synthetic_trend_dataset,
+                           z_normalize)
 from decolite.errors import ConfigError, DataError, FormatError, UsageError
 
 
@@ -196,16 +196,3 @@ class TestSyntheticDataset:
         # after z-normalization the class-1 series still slope upward
         slopes = ds.X[:, 0, -8:].mean(axis=1) - ds.X[:, 0, :8].mean(axis=1)
         assert ((slopes > 0) == (ds.y == 1)).mean() == 1.0
-
-
-class TestCacheRoundTrip:
-    def test_bit_exact(self, tmp_path, archive):
-        train, _ = load_dataset(archive, "Toy")
-        path = tmp_path / "toy.cache"
-        save_dataset_cache(train, path)
-        back = load_dataset_cache(path)
-        np.testing.assert_array_equal(back.X, train.X)
-        np.testing.assert_array_equal(back.y, train.y)
-        np.testing.assert_array_equal(back.Y, train.Y)
-        assert back.label_map == train.label_map
-        assert back.name == train.name and back.split == train.split

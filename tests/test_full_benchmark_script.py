@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from decolite.data import load_dataset, synthetic_trend_dataset
 from decolite.evaluation import accuracy, ensemble_predict
 from decolite.model import LiteModel, load_model, model_checksum
-from decolite.training import TrainConfig
+from decolite.training import TrainConfig, train_decorrelated
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_benchmark.py"
 
@@ -122,3 +123,42 @@ class TestScoring:
             for prefix, chain in (("", base), ("Deco-", deco)):
                 probs = ensemble_predict(chain[:s], test.X)
                 assert accs[f"{prefix}LITETime-{s}"] == accuracy(probs.argmax(axis=1), test.y)
+
+    def test_one_train_forward_per_deco_predecessor(self, script, tmp_path, monkeypatch):
+        root = tmp_path / "archive"
+        train = synthetic_trend_dataset(n=8, length=16)
+        _write_ucr(root / "Good" / "Good_TRAIN.tsv", train)
+        _write_ucr(root / "Good" / "Good_TEST.tsv",
+                   synthetic_trend_dataset(n=6, length=16, split="test"))
+        out = tmp_path / "out"
+        cfg = TrainConfig(epochs=1)
+
+        train_forwards = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            if mode == "eval" and np.shape(getattr(x, "data", x))[0] == train.n:
+                train_forwards.append(1)
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        script.run_dataset("Good", root, out, cfg, 1)
+        # Four deco members train against the chain before them: one
+        # training-set forward for each of the first four members.
+        assert len(train_forwards) == 4
+
+        mdir = out / "models" / "Good" / "run0"
+        ds, _ = load_dataset(root, "Good")
+        chain = [load_model(mdir / "base0.ckpt")]
+        for i in range(1, 5):
+            member, _ = train_decorrelated(ds, replace(cfg, seed=i), chain)
+            assert model_checksum(load_model(mdir / f"deco{i}.ckpt")) == model_checksum(member)
+            chain.append(member)
+
+        # A rerun over a missing middle checkpoint retrains it against loaded
+        # predecessors, forwarding each of them once.
+        (mdir / "deco3.ckpt").unlink()
+        del train_forwards[:]
+        script.run_dataset("Good", root, out, cfg, 1)
+        assert len(train_forwards) == 3
+        assert model_checksum(load_model(mdir / "deco3.ckpt")) == model_checksum(chain[3])

@@ -165,6 +165,36 @@ class TestConv1d:
         # window copy is ~20x.
         assert peak <= 3 * x.data.nbytes
 
+    @pytest.mark.parametrize("cin,cout,klen,dilation,groups", [
+        (113, 32, 1, 1, 1),  # the model's pointwise convs
+        (4, 5, 3, 2, 1),
+        (6, 9, 3, 1, 3),
+    ])
+    def test_channel_major_matches_direct_summation(self, rng, cin, cout, klen, dilation,
+                                                    groups):
+        x = T.Tensor(rng.normal(size=(2, cin, 13)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(cout, cin // groups, klen)), requires_grad=True)
+        bias = T.Tensor(rng.normal(size=cout), requires_grad=True)
+        out = T.conv1d(x, k, bias, dilation=dilation, groups=groups)
+        np.testing.assert_allclose(
+            out.data, conv1d_direct(x.data, k.data, bias.data, dilation, groups),
+            rtol=0, atol=1e-12)
+        gradcheck(lambda: T.sum_all(T.absolute(
+            T.conv1d(x, k, bias, dilation=dilation, groups=groups))), [x, k, bias], rng)
+
+    def test_pointwise_forward_copies_no_input(self, rng):
+        x = T.Tensor(rng.normal(size=(4, 113, 256)))
+        k = T.Tensor(rng.normal(size=(32, 113, 1)))
+        tracemalloc.start()
+        try:
+            out = T.conv1d(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The output plus the kernel; a padded or transposed copy of the
+        # 113-channel input alone is 3.5x the output.
+        assert peak <= 1.5 * out.data.nbytes
+
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_gradients(self, rng, dilation, groups):
@@ -222,6 +252,19 @@ class TestBatchNorm:
                         rm, rv, mode="train", momentum=0.9)
         np.testing.assert_allclose(rm, 0.1 * x.mean(axis=(0, 2)))
         np.testing.assert_allclose(rv, 0.9 + 0.1 * x.var(axis=(0, 2)))
+
+    def test_eval_matches_formula_and_records_no_graph(self, rng):
+        x = rng.normal(1.0, 3.0, size=(3, 4, 50))
+        gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        with T.no_grad():
+            out = T.batch_norm_1d(T.Tensor(x, requires_grad=True),
+                                  T.Tensor(gamma, requires_grad=True),
+                                  T.Tensor(beta, requires_grad=True), rm, rv, mode="eval")
+        want = ((x - rm[None, :, None]) / np.sqrt(rv + 1e-5)[None, :, None]
+                * gamma[None, :, None] + beta[None, :, None])
+        assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
     def test_eval_without_stats_is_state_error(self, rng):
         x = T.Tensor(rng.normal(size=(2, 2, 3)))
