@@ -25,7 +25,7 @@ script is resumable; an unreadable checkpoint is retrained and replaced.
 
 import argparse
 import csv
-import json
+import io
 import sys
 import traceback
 from dataclasses import replace
@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from decolite.arrayio import write_atomic, write_json
 from decolite.data import load_dataset, resolve_data_root
 from decolite.diversity import feature_statistics, fid
 from decolite.errors import CheckpointError
@@ -134,10 +135,11 @@ def main(argv=None):
         best = max(accs, key=accs.get)
         print(f"  best {best} = {accs[best]:.4f}")
 
-    with open(out / "failures.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "error"])
-        writer.writerows(failures)
+    failures_csv = io.StringIO()
+    writer = csv.writer(failures_csv)
+    writer.writerow(["dataset", "error"])
+    writer.writerows(failures)
+    write_atomic(out / "failures.csv", failures_csv.getvalue().encode("utf-8"))
     if not rows:
         ap.exit(1, f"no dataset finished; see {out / 'failures.csv'}\n")
 
@@ -153,16 +155,14 @@ def main(argv=None):
     plain_vec = np.array([v["plain"] for v in fid_pairs.values()])
     deco_vec = np.array([v["deco"] for v in fid_pairs.values()])
     wres = wilcoxon_signed_rank(deco_vec, plain_vec) if len(plain_vec) > 1 else None
-    with open(out / "fid_comparison.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "per_dataset": fid_pairs,
-            "deco_higher": int((deco_vec > plain_vec).sum()),
-            "plain_higher": int((plain_vec > deco_vec).sum()),
-            "equal": int((plain_vec == deco_vec).sum()),
-            "wilcoxon_p": None if wres is None else wres.p_value,
-            "wilcoxon_p_display": None if wres is None else format_p_value(wres.p_value),
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "fid_comparison.json", {
+        "per_dataset": fid_pairs,
+        "deco_higher": int((deco_vec > plain_vec).sum()),
+        "plain_higher": int((plain_vec > deco_vec).sum()),
+        "equal": int((plain_vec == deco_vec).sum()),
+        "wilcoxon_p": None if wres is None else wres.p_value,
+        "wilcoxon_p_display": None if wres is None else format_p_value(wres.p_value),
+    })
 
     print("\nmean accuracy ranking:")
     for name, macc in zip(report.classifiers, report.mean_accuracy):

@@ -57,6 +57,16 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def write_json(path, payload) -> None:
+    """Atomically write ``payload`` as JSON: indent 2, sorted keys, trailing newline."""
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def write_text(path, lines: list[str]) -> None:
+    """Atomically write ``lines`` as UTF-8 text, each ending in a newline."""
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def load_bundle(path, expected_kind: str | None = None):
     """Read a bundle back; returns ``(kind, meta, arrays)``."""
     raw = Path(path).read_bytes()

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .arrayio import write_atomic
+from .arrayio import write_json
 from .data import load_dataset, resolve_data_root, synthetic_trend_dataset
 from .diversity import embed_2d, feature_statistics, filter_distance_matrix, write_fid_report
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
@@ -83,7 +83,7 @@ def _train_config(args, file_cfg) -> TrainConfig:
         batch_size=_coalesce(args, file_cfg, "batch_size", base.batch_size, int),
         orth_normalization=_coalesce(args, file_cfg, "orth_norm",
                                      base.orth_normalization, str),
-        lr=float(file_cfg.get("lr", base.lr)),
+        lr=_coalesce(args, file_cfg, "lr", base.lr, float),
     )
     cfg.validate()
     return cfg
@@ -106,11 +106,7 @@ def _append_manifest(run_root: Path, record: dict) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             runs = json.load(fh).get("runs", [])
     runs.append(record)
-    _write_json(path, {"runs": runs})
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_json(path, {"runs": runs})
 
 
 def _manifest_record(command: str, run_root: Path, artifacts: list[Path],
@@ -157,7 +153,7 @@ def _cmd_train(args, file_cfg) -> int:
                       seed_dir / "train_log.csv"]
         print(f"trained seed {seed}: train acc {train_acc:.4f}, test acc {ens_acc:.4f}")
     metrics_path = run_root / "metrics.json"
-    _write_json(metrics_path, metrics)
+    write_json(metrics_path, metrics)
     artifacts.append(metrics_path)
     _append_manifest(run_root, _manifest_record(
         "train", run_root, artifacts, started, clock, dataset=dataset, kind="base", size=1,
@@ -199,7 +195,7 @@ def _cmd_ensemble(args, file_cfg) -> int:
         "member_test_accuracies": member_acc,
     }
     metrics_path = run_root / "metrics.json"
-    _write_json(metrics_path, metrics)
+    write_json(metrics_path, metrics)
     artifacts = [metrics_path]
     for d in seed_dirs:
         artifacts += [d / "checkpoint_best.ckpt", d / "checkpoint_last.ckpt",
@@ -240,7 +236,7 @@ def _cmd_evaluate(args, file_cfg) -> int:
         "member_accuracies": member_acc,
     }
     path = out / "evaluation.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     _append_manifest(out, _manifest_record("evaluate", out, [path], started, clock,
                                            dataset=dataset, split=args.split))
     print(f"ensemble accuracy on {dataset}/{args.split}: {ens_acc:.4f}")
@@ -282,7 +278,7 @@ def _cmd_diversity(args, file_cfg) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     stats = [feature_statistics(m, ds.X, model_id=i) for m, i in zip(models, ids)]
-    _write_json(out / "feature_stats.json", {"stats": [s.to_json_dict() for s in stats]})
+    write_json(out / "feature_stats.json", {"stats": [s.to_json_dict() for s in stats]})
     write_fid_report(stats, out / "fid_report.json")
     matrix = filter_distance_matrix(models, ids)
     matrix.to_csv(out / "filter_distances.csv")

@@ -10,11 +10,11 @@ embedding tools can be applied to the same structure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arrayio import write_json, write_text
 from .errors import ConfigError, InputError, NumericError, UsageError
 from .model import LiteModel, _eval_chunks, extract_final_filters
 
@@ -157,8 +157,7 @@ class FilterDistanceMatrix:
         lines = ["filter," + ",".join(names)]
         for name, row in zip(names, self.values):
             lines.append(name + "," + ",".join(f"{v:.17g}" for v in row))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, lines)
 
 
 def filter_distance_matrix(models: list[LiteModel],
@@ -202,8 +201,7 @@ class Embedding2D:
         for i, (x, y) in enumerate(self.coords):
             name = labels[i] if labels is not None else str(i)
             lines.append(f"{name},{x:.17g},{y:.17g}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, lines)
 
 
 def embed_2d(matrix) -> Embedding2D:
@@ -252,7 +250,5 @@ def write_fid_report(stats: list[FeatureStats], path) -> dict:
             for i in range(len(stats)) for j in range(i + 1, len(stats))
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     return report

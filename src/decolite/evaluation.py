@@ -8,13 +8,13 @@ two-sided Wilcoxon signed-rank p-value with a 0.05 significance flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .arrayio import write_json, write_text
 from .data import TimeSeriesDataset
 from .errors import ConfigError, FormatError, InputError, UsageError
 from .model import LiteModel, _eval_chunks
@@ -203,8 +203,7 @@ class ResultsTable:
         lines = ["dataset," + ",".join(self.classifiers)]
         for j, ds in enumerate(self.datasets):
             lines.append(ds + "," + ",".join(f"{v:.17g}" for v in self.acc[:, j]))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, lines)
 
     @classmethod
     def from_csv(cls, path) -> "ResultsTable":
@@ -275,9 +274,7 @@ class MCMReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def matrix_csv(self, path) -> None:
         """Plot-ready pairwise grid: mean difference, W/T/L and p per cell."""
@@ -294,8 +291,7 @@ class MCMReport:
                                  f"/{int(self.losses[i, j])}"
                                  f"|p={self.p_values[i, j]:.4g}")
             lines.append(self.classifiers[i] + "," + ",".join(cells))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, lines)
 
 
 def format_p_value(p: float, floor: float = 1e-12) -> str:

@@ -1,13 +1,18 @@
-"""Independent reference implementations the tests check the package against.
+"""Independent reference implementations that the smoke battery and the
+tests check the package against.
 
 Everything here is deliberately written the slow, obvious way (direct
 summation, explicit path enumeration, full sign enumeration) and never
-calls into the code paths it is used to verify.
+calls into the code paths it is used to verify. The one import from the
+package is :func:`tensor.backward`, which produces the analytic gradients
+that :func:`fd_max_rel_err` compares against finite differences.
 """
 
 import itertools
 
 import numpy as np
+
+from .tensor import backward
 
 
 def conv1d_direct(x, kernel, bias=None, dilation=1, groups=1):
@@ -57,6 +62,29 @@ def fd_gradient(fn, array, indices, step=1e-4):
 
 def rel_err(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def fd_max_rel_err(build_loss, leaves, rng, n_coords, step=1e-4):
+    """Worst relative error of backward() gradients against central differences.
+
+    Draws up to ``n_coords`` flat coordinates per leaf from ``rng``, leaf
+    by leaf. ``build_loss`` must rebuild the scalar loss from the leaves'
+    current data on every call. A leaf with no gradient counts as an
+    infinite error, and a NaN error is returned as NaN.
+    """
+    loss = build_loss()
+    for leaf in leaves:
+        leaf.grad = None
+    backward(loss)
+    errors = []
+    for leaf in leaves:
+        if leaf.grad is None:
+            return np.inf
+        size = leaf.data.size
+        idx = rng.choice(size, size=min(n_coords, size), replace=False)
+        fd = fd_gradient(lambda: build_loss().item(), leaf.data, idx, step)
+        errors += [rel_err(float(leaf.grad.reshape(-1)[c]), v) for c, v in fd.items()]
+    return float(np.max(errors, initial=0.0))
 
 
 def dtw_paths(n, m):

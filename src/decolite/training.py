@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .arrayio import write_text
 from .data import TimeSeriesDataset, batch_indices
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 from .model import LiteArchitectureConfig, LiteModel, _eval_chunks, init_model, save_model
@@ -62,7 +63,6 @@ class TrainConfig:
     seed: int = 0
     orth_normalization: str = "mean"  # "mean": average over channel pairs; "raw": plain sum
     include_diagonal: bool = False    # study switch; the loss skips i == j by default
-    checkpoint_policy: str = "best-train-loss"
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -77,8 +77,6 @@ class TrainConfig:
             raise ConfigError("seed must be non-negative")
         if self.orth_normalization not in ("mean", "raw"):
             raise ConfigError("orth_normalization must be 'mean' or 'raw'")
-        if self.checkpoint_policy != "best-train-loss":
-            raise ConfigError("only the best-train-loss checkpoint policy is supported")
 
 
 @dataclass
@@ -106,8 +104,7 @@ class TrainLog:
         for r in self.records:
             lines.append(f"{r.epoch},{r.lr:.10g},{r.ce_loss:.17g},{r.orth_loss:.17g},"
                          f"{r.total_loss:.17g},{r.train_accuracy:.17g},{r.seconds:.6f}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_text(path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ from decolite.data import synthetic_trend_dataset
 from decolite.diversity import FeatureStats, dtw, embed_2d, feature_statistics, fid
 from decolite.evaluation import ResultsTable, mcm, wilcoxon_signed_rank
 from decolite.model import LiteArchitectureConfig, init_model, model_checksum
+from decolite.oracles import dtw_enumerate, wilcoxon_enumerate
 from decolite.training import (TrainConfig, orthogonality_loss,
                                sequential_orthogonality_loss, total_loss, train_base,
                                train_decorrelated)
 
-from oracles import dtw_enumerate, fd_gradient, rel_err, wilcoxon_enumerate
 from test_tensor import gradcheck
 
 
@@ -91,17 +91,8 @@ def test_criterion_1_gradient_suite():
             return total_loss(T.softmax_cross_entropy(logits, y),
                               orthogonality_loss(feats, prev), 0.5)
 
-        loss = full_loss()
-        for p in net.trainable_parameters():
-            p.grad = None
-        T.backward(loss)
         check_rng = np.random.default_rng(7)
-        for p in net.trainable_parameters():
-            flat = p.data.reshape(-1)
-            idx = check_rng.choice(flat.size, size=min(3, flat.size), replace=False)
-            fd = fd_gradient(lambda: full_loss().item(), p.data, idx)
-            for c, val in fd.items():
-                assert rel_err(float(p.grad.reshape(-1)[c]), val) <= 1e-3
+        gradcheck(full_loss, net.trainable_parameters(), check_rng, n_coords=3)
 
 
 def test_criterion_2_loss_algebra():

@@ -8,12 +8,20 @@ import pytest
 
 from decolite import arrayio
 from decolite.cli import _append_manifest, dispatch
+from decolite.diversity import Embedding2D, FeatureStats, FilterDistanceMatrix, write_fid_report
 from decolite.evaluation import ResultsTable, mcm
+from decolite.training import EpochRecord, TrainLog
 
 
 def _manifest(run_root):
     with open(run_root / "manifest.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _half_write(self, data):
+    with open(self, "wb") as fh:
+        fh.write(data[:len(data) // 2])
+    raise OSError("disk full")
 
 
 @pytest.fixture
@@ -81,13 +89,7 @@ class TestManifestWrite:
     def test_failed_write_keeps_previous_manifest(self, tmp_path, monkeypatch):
         _append_manifest(tmp_path, {"command": "train"})
         before = (tmp_path / "manifest.json").read_bytes()
-
-        def half_write(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[:len(data) // 2])
-            raise OSError("disk full")
-
-        monkeypatch.setattr(Path, "write_bytes", half_write)
+        monkeypatch.setattr(Path, "write_bytes", _half_write)
         with pytest.raises(OSError):
             _append_manifest(tmp_path, {"command": "evaluate"})
         monkeypatch.undo()
@@ -96,6 +98,30 @@ class TestManifestWrite:
         # the next command appends to the intact manifest
         _append_manifest(tmp_path, {"command": "evaluate"})
         assert [r["command"] for r in _manifest(tmp_path)["runs"]] == ["train", "evaluate"]
+
+    def test_failed_artifact_writes_keep_previous_files(self, tmp_path, monkeypatch):
+        table = ResultsTable(["a", "b"], ["d1", "d2"], np.array([[0.9, 0.8], [0.7, 0.8]]))
+        report = mcm(table)
+        stats = [FeatureStats(f"m{i}", np.array([float(i)]), np.eye(1), 8) for i in range(2)]
+        writers = {
+            "train_log.csv": TrainLog([EpochRecord(1, 1e-3, 0.5, 0.1, 0.3, 1.0, 0.01)]).to_csv,
+            "results.csv": table.to_csv,
+            "mcm_report.json": report.to_json,
+            "mcm_matrix.csv": report.matrix_csv,
+            "filter_distances.csv": FilterDistanceMatrix(
+                [("m0", 0), ("m1", 0)], np.array([[0.0, 1.0], [1.0, 0.0]])).to_csv,
+            "embedding.csv": Embedding2D(np.zeros((2, 2)), True).to_csv,
+            "fid_report.json": lambda path: write_fid_report(stats, path),
+        }
+        for name in writers:
+            (tmp_path / name).write_bytes(b"previous\n")
+        monkeypatch.setattr(Path, "write_bytes", _half_write)
+        for name, write in writers.items():
+            with pytest.raises(OSError):
+                write(tmp_path / name)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+        assert all((tmp_path / name).read_bytes() == b"previous\n" for name in writers)
 
 
 class TestConfigFile:
@@ -110,6 +136,12 @@ class TestConfigFile:
         assert rec["config"]["epochs"] == 2          # flag wins
         assert rec["config"]["batch_size"] == 8      # file fills the gap
         assert rec["seeds"] == [3]
+
+    def test_bad_lr_in_config_file_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad_lr.cfg"
+        cfg.write_text("lr=abc\n")
+        assert dispatch(["train", "--dataset", "synthetic", "--config", str(cfg),
+                         "--out", str(tmp_path / "runs")]) == 1
 
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

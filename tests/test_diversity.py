@@ -10,8 +10,7 @@ from decolite.diversity import (Embedding2D, FeatureStats, _dtw_batch, dtw, embe
                                 feature_statistics, fid, filter_distance_matrix)
 from decolite.errors import ConfigError, InputError, UsageError
 from decolite.model import LiteArchitectureConfig, init_model
-
-from oracles import dtw_enumerate
+from decolite.oracles import dtw_enumerate
 
 
 @pytest.fixture

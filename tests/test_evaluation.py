@@ -9,8 +9,7 @@ from decolite import evaluation
 from decolite.evaluation import (ResultsTable, accuracy, ensemble_accuracy, ensemble_predict,
                                  format_p_value, mcm, wilcoxon_signed_rank)
 from decolite.model import LiteArchitectureConfig, LiteModel, init_model
-
-from oracles import wilcoxon_enumerate
+from decolite.oracles import wilcoxon_enumerate
 
 
 @pytest.fixture

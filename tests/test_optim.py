@@ -5,9 +5,8 @@ import pytest
 
 from decolite.errors import ConfigError
 from decolite.optim import Adam, ReduceLROnPlateau
+from decolite.oracles import adam_trace
 from decolite.tensor import Tensor
-
-from oracles import adam_trace
 
 
 def _scalar_param(value=1.0):

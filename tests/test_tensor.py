@@ -8,8 +8,7 @@ import pytest
 from decolite import tensor as T
 from decolite.errors import (ConfigError, InputError, NumericError, ShapeError,
                              StateError, UsageError)
-
-from oracles import conv1d_direct, fd_gradient, rel_err
+from decolite.oracles import conv1d_direct, fd_max_rel_err
 
 
 @pytest.fixture
@@ -19,18 +18,13 @@ def rng():
 
 def gradcheck(build_loss, leaves, rng, n_coords=8, tol=1e-3, step=1e-4):
     """Backward grads vs central differences on sampled coordinates."""
-    loss = build_loss()
-    for leaf in leaves:
-        leaf.grad = None
-    T.backward(loss)
-    for leaf in leaves:
-        grad = leaf.grad
-        assert grad is not None, "leaf received no gradient"
-        flat = leaf.data.reshape(-1)
-        idx = rng.choice(flat.size, size=min(n_coords, flat.size), replace=False)
-        fd = fd_gradient(lambda: build_loss().item(), leaf.data, idx, step)
-        for c, val in fd.items():
-            assert rel_err(float(grad.reshape(-1)[c]), val) <= tol
+    assert fd_max_rel_err(build_loss, leaves, rng, n_coords, step) <= tol
+
+
+def test_fd_oracle_counts_a_leaf_without_gradient_as_infinite(rng):
+    used = T.Tensor(rng.normal(size=3), requires_grad=True)
+    unused = T.Tensor(rng.normal(size=3), requires_grad=True)
+    assert fd_max_rel_err(lambda: T.sum_all(used), [used, unused], rng, 3) == np.inf
 
 
 class TestTensorBasics:
