@@ -11,9 +11,9 @@ filters).
 
 __version__ = "0.1.0"
 
-from .tensor import (Tensor, backward, conv1d, batch_norm_1d, relu, global_avg_pool,
-                     dense, softmax_cross_entropy, cosine_similarity_matrix,
-                     concat_channels, absolute, sum_all)
+from .tensor import (Tensor, backward, conv1d, embed_taps, batch_norm_1d, relu,
+                     global_avg_pool, dense, softmax_cross_entropy,
+                     cosine_similarity_matrix, absolute, sum_all)
 from .optim import Adam, ReduceLROnPlateau, adam_update
 from .model import (LiteArchitectureConfig, LiteModel, build_custom_filters, init_model,
                     extract_final_filters, param_count, ratio_vs_reference,

@@ -51,7 +51,8 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load_config_file(path) -> dict[str, str]:
+def _load_config_file(path, known: frozenset[str]) -> dict[str, str]:
+    """``key=value`` lines; a key the command does not read is a usage error."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -62,6 +63,9 @@ def _load_config_file(path) -> dict[str, str]:
                 raise FormatError(f"{path}:{lineno}: expected key=value")
             key, value = stripped.split("=", 1)
             values[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(set(values) - known)
+    if unknown:
+        raise UsageError(f"{path}: unknown config key(s) for this command: {', '.join(unknown)}")
     return values
 
 
@@ -361,13 +365,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Each command's handler and the config-file keys it reads through _coalesce.
+_DATA_KEYS = frozenset({"dataset", "data_root", "out"})
+_TRAINING_KEYS = _DATA_KEYS | {"alpha", "epochs", "batch_size", "orth_norm", "lr", "seeds"}
 _HANDLERS = {
-    "train": _cmd_train,
-    "ensemble": _cmd_ensemble,
-    "evaluate": _cmd_evaluate,
-    "mcm": _cmd_mcm,
-    "diversity": _cmd_diversity,
-    "smoke": _cmd_smoke,
+    "train": (_cmd_train, _TRAINING_KEYS),
+    "ensemble": (_cmd_ensemble, _TRAINING_KEYS | {"kind", "size"}),
+    "evaluate": (_cmd_evaluate, _DATA_KEYS),
+    "mcm": (_cmd_mcm, frozenset({"out"})),
+    "diversity": (_cmd_diversity, _DATA_KEYS),
+    "smoke": (_cmd_smoke, frozenset({"out"})),
 }
 
 
@@ -376,9 +383,9 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        file_cfg = _load_config_file(args.config_file) if getattr(args, "config_file", None) \
-            else {}
-        return _HANDLERS[args.command](args, file_cfg)
+        handler, known = _HANDLERS[args.command]
+        file_cfg = _load_config_file(args.config_file, known) if args.config_file else {}
+        return handler(args, file_cfg)
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except (UsageError, ConfigError) as exc:

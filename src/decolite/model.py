@@ -2,11 +2,14 @@
 
 Three convolutional blocks over (B, 1, T) inputs:
 
-1. a multiplexed first layer (one bias-free convolution per configured
-   kernel size) concatenated with a frozen bank of hand-crafted
-   trend/peak detection filters, then batch norm and ReLU;
+1. a multiplexed first layer (one bias-free kernel bank per configured
+   kernel size) alongside a frozen bank of hand-crafted trend/peak
+   detection filters, then batch norm fused with its ReLU. Every bank is
+   zero-embedded, centred, into one kernel as wide as the widest bank, so
+   the whole layer is one convolution: one window matrix and one GEMM per
+   sample that writes all of its channels;
 2. two dilated depthwise-separable blocks (depthwise kernel, pointwise
-   1x1 mix, batch norm, ReLU).
+   1x1 mix, batch norm fused with its ReLU).
 
 Global average pooling and an affine head produce the logits. The
 post-activation output of the third block is exposed alongside the
@@ -24,8 +27,8 @@ import numpy as np
 
 from .arrayio import arrays_checksum, load_bundle, save_bundle
 from .errors import CheckpointError, ConfigError, ShapeError
-from .tensor import (Tensor, as_tensor, assert_finite, batch_norm_1d, concat_channels,
-                     conv1d, dense, global_avg_pool, no_grad, relu)
+from .tensor import (Tensor, as_tensor, assert_finite, batch_norm_1d, conv1d, dense,
+                     embed_taps, global_avg_pool, no_grad)
 
 __all__ = [
     "LiteArchitectureConfig",
@@ -77,11 +80,11 @@ class LiteArchitectureConfig:
 
 @dataclass(frozen=True)
 class CustomFilterBank:
-    """Frozen detection kernels, grouped by length for efficient convolution.
+    """Frozen detection kernels, grouped by length.
 
     ``banks`` maps each configured length to a (n, 1, length) stack whose
     rows follow the per-length order increasing, decreasing, peak.
-    ``labels`` names every resulting channel in concatenation order.
+    ``labels`` names every resulting channel in channel order.
     """
 
     banks: tuple[tuple[int, np.ndarray], ...]
@@ -201,26 +204,25 @@ class LiteModel:
         with no_grad() if mode == "eval" else nullcontext():
             return self._layers(x, mode)
 
+    def _first_layer(self, x: Tensor) -> Tensor:
+        """The first block before its batch norm: every bank's "same"
+        convolution, trainable banks first, in channel order."""
+        return conv1d(x, embed_taps(self.first_kernels + self._custom_tensors))
+
     def _layers(self, x: Tensor, mode: str) -> tuple[Tensor, Tensor]:
         cfg = self.config
 
-        branches = [conv1d(x, w) for w in self.first_kernels]
-        branches += [conv1d(x, cw) for cw in self._custom_tensors]
-        h = concat_channels(branches)
-        h = self._apply_bn(h, 0, mode)
-        h = relu(h)
+        h = self._apply_bn(self._first_layer(x), 0, mode)
         assert_finite(h, "block1")
 
         h = conv1d(h, self.dw1, dilation=cfg.dwsc_dilations[0], groups=h.shape[1])
         h = conv1d(h, self.pw1)
         h = self._apply_bn(h, 1, mode)
-        h = relu(h)
         assert_finite(h, "block2")
 
         h = conv1d(h, self.dw2, dilation=cfg.dwsc_dilations[1], groups=h.shape[1])
         h = conv1d(h, self.pw2)
-        h = self._apply_bn(h, 2, mode)
-        features = relu(h)
+        features = self._apply_bn(h, 2, mode)
         assert_finite(features, "block3")
 
         pooled = global_avg_pool(features)
@@ -232,7 +234,7 @@ class LiteModel:
         bn = self._bn[idx]
         return batch_norm_1d(h, bn["gamma"], bn["beta"], bn["mean"], bn["var"],
                              mode=mode, momentum=self.config.bn_momentum,
-                             eps=self.config.bn_epsilon)
+                             eps=self.config.bn_epsilon, relu=True)
 
     # -- parameters and state --------------------------------------------
 

@@ -32,7 +32,7 @@ class Adam:
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if lr <= 0:
+        if not lr > 0:
             raise ConfigError("learning rate must be positive")
         if not params:
             raise ConfigError("optimizer needs at least one parameter")

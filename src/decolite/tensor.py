@@ -2,9 +2,10 @@
 
 This module implements exactly the primitives the LITE classifier and its
 training losses need: dilated/grouped 1-D convolution with "same" padding,
-batch normalization, ReLU, global average pooling, an affine head, softmax
-cross-entropy, pairwise cosine-similarity matrices, channel concatenation
-and a few elementwise/reduction helpers.
+the zero-embedding of a set of kernels into one wider kernel, batch
+normalization (optionally fused with its ReLU), ReLU, global average
+pooling, an affine head, softmax cross-entropy, pairwise cosine-similarity
+matrices and a few elementwise/reduction helpers.
 
 Each operation records its parent tensors and a gradient closure on the
 output, so the autodiff graph is the DAG of :class:`Tensor` nodes reached
@@ -20,7 +21,9 @@ lie: no kernel copies an activation into another layout, apart from the
 window matrix of a single-channel input (im2col). Convolutions take one
 of three paths: im2col, depthwise (``einsum`` over a strided window
 view) and channel-major (one GEMM per tap over time slices). Eval-mode
-batch norm is one affine pass.
+batch norm is one affine pass; with ``relu=True`` batch norm clamps its own
+output in place and masks the incoming gradient itself, so the pair keeps
+one full-size activation in the graph instead of two.
 
 All arithmetic is float64 and every reduction uses a fixed accumulation
 order, so identical inputs produce bit-identical outputs on one platform.
@@ -42,13 +45,13 @@ __all__ = [
     "assert_finite",
     "backward",
     "conv1d",
+    "embed_taps",
     "batch_norm_1d",
     "relu",
     "global_avg_pool",
     "dense",
     "softmax_cross_entropy",
     "cosine_similarity_matrix",
-    "concat_channels",
     "absolute",
     "sum_all",
     "no_grad",
@@ -356,11 +359,12 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
             gx = np.einsum("bctk,ck->bct", _dilated_windows(gz, klen, dilation), k[:, 0, ::-1])
     elif path == "im2col":
         win = extra
-        gt = g.transpose(0, 2, 1)
         if need_kernel:
-            gk = np.tensordot(gt, win, axes=([0, 1], [0, 1]))[:, None, :]
+            # One (Cout, T) @ (T, K) GEMM per sample, summed over the batch;
+            # a tensordot would first copy g into (B, T, Cout) order.
+            gk = np.matmul(g, win).sum(axis=0)[:, None, :]
         if need_input:
-            gwin = gt @ k[:, 0, :]
+            gwin = g.transpose(0, 2, 1) @ k[:, 0, :]
             gxp = np.zeros_like(xp)
             for i in range(klen):
                 off = i * dilation
@@ -393,6 +397,43 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
     return gx, gk
 
 
+def embed_taps(kernels: list[Tensor]) -> Tensor:
+    """Stack (Ci, 1, Ki) kernels into one zero-padded (sum Ci, 1, W) kernel.
+
+    W is the widest Ki. Kernel i occupies the rows after those of kernels
+    0..i-1 and the taps from ``(W-1)//2 - (Ki-1)//2``, so one "same"
+    convolution with the result equals each kernel's own "same"
+    convolution stacked on the channel axis: the padding split of width W
+    puts exactly that many more zeros on the left than the split of width
+    Ki. Each kernel's gradient is its own slice of the embedded kernel's
+    gradient.
+    """
+    kernels = [as_tensor(k) for k in kernels]
+    if not kernels:
+        raise UsageError("embed_taps needs at least one kernel")
+    for k in kernels:
+        if k.ndim != 3 or k.shape[1] != 1:
+            raise ShapeError(f"embed_taps expects (C, 1, K) kernels, got {k.shape}")
+    width = max(k.shape[2] for k in kernels)
+    out = np.zeros((sum(k.shape[0] for k in kernels), 1, width), dtype=np.float64)
+    slots = []
+    row = 0
+    for k in kernels:
+        c, _, klen = k.shape
+        tap = (width - 1) // 2 - (klen - 1) // 2
+        rows, taps = slice(row, row + c), slice(tap, tap + klen)
+        out[rows, :, taps] = k.data
+        slots.append((rows, taps))
+        row += c
+
+    def grad_fn(g):
+        for k, (rows, taps) in zip(kernels, slots):
+            if k.requires_grad:
+                _accumulate(k, g[rows, :, taps])
+
+    return Tensor._op(out, tuple(kernels), grad_fn)
+
+
 # ---------------------------------------------------------------------------
 # normalization and activations
 
@@ -401,13 +442,17 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
                   running_mean: np.ndarray | None = None,
                   running_var: np.ndarray | None = None, *,
                   mode: str = "train", momentum: float = 0.9,
-                  eps: float = 1e-5) -> Tensor:
+                  eps: float = 1e-5, relu: bool = False) -> Tensor:
     """Per-channel batch normalization over the batch and time axes jointly.
 
     Train mode normalizes with the batch's population statistics and, when
     running buffers are supplied, updates them in place as
     ``running = momentum * running + (1 - momentum) * batch``. Eval mode
     normalizes with the running buffers only and requires them.
+
+    With ``relu`` set the output is clamped at 0 in place and the gradient
+    is masked by ``out > 0``, which gives the same bits as this op followed
+    by :func:`relu` without keeping the unclamped output alive.
     """
     x = as_tensor(x)
     gamma, beta = as_tensor(gamma), as_tensor(beta)
@@ -448,8 +493,18 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
         out = x.data * scale[None, :, None]
         out += (beta.data - mean * scale)[None, :, None]
         xhat = None
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def grad_fn(g):
+        if relu:
+            # The masked gradient goes into a buffer this closure owns, one
+            # sample at a time, and the input gradient is then built in place
+            # over it.
+            gm = np.empty_like(g)
+            for g_b, out_b, gm_b in zip(g, out, gm):
+                np.multiply(g_b, out_b > 0.0, out=gm_b)
+            g = gm
         xn = xhat if train_mode else (x.data - mean[None, :, None]) * inv[None, :, None]
         # Both per-channel sums serve the gamma and beta gradients and, in
         # train mode, the two batch-statistics terms of the input gradient.
@@ -469,7 +524,7 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
             # time, so each term's temporary is one (C, T) slab.
             c_proj = (gscale * sgx / m)[:, None]
             c_mean = (gscale * sg / m)[:, None]
-            gx = np.empty_like(g)
+            gx = g if relu else np.empty_like(g)
             for g_b, xhat_b, gx_b in zip(g, xn, gx):
                 np.multiply(g_b, gscale[:, None], out=gx_b)
                 gx_b -= xhat_b * c_proj
@@ -556,7 +611,7 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# similarity, concatenation and reductions
+# similarity and reductions
 
 
 def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
@@ -609,28 +664,6 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
             _accumulate(b, gb[0] if squeezed else gb)
 
     return Tensor._op(out, (a, b), grad_fn)
-
-
-def concat_channels(parts: list[Tensor]) -> Tensor:
-    """Concatenate (B, Ci, T) maps along the channel axis."""
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise UsageError("concat_channels needs at least one input")
-    b, _, t = parts[0].shape
-    for p in parts:
-        if p.ndim != 3 or p.shape[0] != b or p.shape[2] != t:
-            raise ShapeError("concat_channels inputs must agree on batch and time axes")
-    out = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.shape[1] for p in parts]
-
-    def grad_fn(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accumulate(p, g[:, off:off + w, :])
-            off += w
-
-    return Tensor._op(out, tuple(parts), grad_fn)
 
 
 def absolute(x: Tensor) -> Tensor:

@@ -67,6 +67,8 @@ class TrainConfig:
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.plateau_patience < 1:

@@ -1,6 +1,9 @@
 """Command-line contracts: layouts, manifests, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +145,30 @@ class TestConfigFile:
         cfg.write_text("lr=abc\n")
         assert dispatch(["train", "--dataset", "synthetic", "--config", str(cfg),
                          "--out", str(tmp_path / "runs")]) == 1
+
+    def test_non_finite_lr_is_usage_error_before_training(self, tmp_path):
+        cfg = tmp_path / "nan_lr.cfg"
+        cfg.write_text("lr=nan\n")
+        out = tmp_path / "runs"
+        assert dispatch(["train", "--dataset", "synthetic", "--config", str(cfg),
+                         "--epochs", "1", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_unknown_keys_are_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("epoch=3\nlearning_rate=0.1\n")
+        out = tmp_path / "runs"
+        assert dispatch(["train", "--dataset", "synthetic", "--config", str(cfg),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "epoch" in err and "learning_rate" in err
+        assert not out.exists()
+
+    def test_key_of_another_command_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "train_only.cfg"
+        cfg.write_text("epochs=3\n")
+        assert dispatch(["smoke", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "epochs" in capsys.readouterr().err
 
     def test_malformed_config_file(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -302,3 +329,13 @@ class TestByteDeterminism:
                 assert rows_a == rows_b
                 continue
             assert fa.read_bytes() == fb.read_bytes(), rel
+
+
+def test_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "decolite", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: decolite" in proc.stdout

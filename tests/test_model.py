@@ -13,6 +13,7 @@ from decolite.model import (INCEPTIONTIME_REFERENCE_PARAM_COUNT, LiteArchitectur
                             load_model, model_checksum, param_count, ratio_vs_reference,
                             save_model)
 from decolite.optim import Adam
+from decolite.oracles import conv1d_direct
 from decolite.tensor import backward, softmax_cross_entropy
 
 
@@ -178,6 +179,24 @@ class TestForward:
         # About 4.6x; a recorded graph keeps every intermediate alive (about 13x).
         assert peak <= 5 * activation
 
+    def test_train_forward_graph_keeps_few_activations(self, arch, rng):
+        model = init_model(arch, 2, 0)
+        x = rng.normal(size=(4, 1, 256))
+        activation = 4 * (32 * 3 + 17) * 256 * 8  # one 113-channel float64 map
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            outputs = model.forward(x, mode="train")
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outputs[0].requires_grad
+        # About 8.2x: the first block keeps its window matrix, its conv
+        # output and the normalized and clamped maps of its batch norm.
+        # A separate ReLU node and per-bank convolutions joined by a
+        # concatenation keep about 10.7x.
+        assert kept - before <= 9 * activation
+
     def test_train_forward_updates_running_stats(self, arch, rng):
         model = init_model(arch, 2, 0)
         before = model._bn[0]["mean"].copy()
@@ -188,6 +207,23 @@ class TestForward:
         model = init_model(arch, 2, 0)
         with pytest.raises(ShapeError):
             model.forward(rng.normal(size=(2, 3, 10)))
+
+
+class TestFirstLayer:
+    @pytest.mark.parametrize("first_sizes, t", [
+        ((40, 20, 10), 512),
+        ((40, 20, 10), 32),   # shorter than the 64-tap embedded kernel
+        ((65, 20, 9), 70),    # odd widest kernel: even banks sit off centre
+    ])
+    def test_matches_direct_convolution_per_bank(self, rng, first_sizes, t):
+        model = init_model(LiteArchitectureConfig(first_layer_kernel_sizes=first_sizes), 2, 0)
+        x = rng.normal(size=(1, 1, t))
+        got = model._first_layer(T.Tensor(x)).data
+        banks = [w.data for w in model.first_kernels]
+        banks += [bank for _, bank in model.custom_filters.banks]
+        want = np.concatenate([conv1d_direct(x, bank) for bank in banks], axis=1)
+        assert got.shape == want.shape == (1, 32 * 3 + 17, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestCustomFiltersStayFrozen:

@@ -19,6 +19,8 @@ class TestAdam:
             Adam([_scalar_param()], lr=0.0)
         with pytest.raises(ConfigError):
             Adam([_scalar_param()], lr=-1e-3)
+        with pytest.raises(ConfigError):
+            Adam([_scalar_param()], lr=float("nan"))
 
     def test_zero_gradient_leaves_param_unchanged(self):
         p = _scalar_param(3.5)

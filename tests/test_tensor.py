@@ -266,6 +266,28 @@ class TestBatchNorm:
             T.batch_norm_1d(x, T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)), mode="eval")
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_fused_relu_is_bit_identical(self, rng, mode):
+        # Mixed-sign gamma and a nonzero beta make the clamp disagree with
+        # the sign of the normalized input; the random weight gives the
+        # incoming gradient both signs.
+        x = rng.normal(1.0, 2.0, size=(3, 4, 30))
+        gamma, beta = np.array([1.5, -0.7, 0.9, -1.2]), rng.normal(size=4)
+        rm, rv = rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)
+        weight = rng.normal(size=x.shape)
+        runs = []
+        for fused in (False, True):
+            leaves = [T.Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+            out = T.batch_norm_1d(*leaves, rm.copy(), rv.copy(), mode=mode, relu=fused)
+            if not fused:
+                out = T.relu(out)
+            T.backward(T.sum_all(out * weight))
+            runs.append([out.data] + [leaf.grad for leaf in leaves])
+        assert 0 < np.count_nonzero(runs[1][0]) < x.size
+        for unfused, fused in zip(*runs):
+            assert np.ascontiguousarray(fused).tobytes() == \
+                np.ascontiguousarray(unfused).tobytes()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_gradients(self, rng, mode):
         x = T.Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
         gamma = T.Tensor(rng.uniform(0.5, 1.5, size=2), requires_grad=True)
@@ -412,15 +434,28 @@ class TestCosineSimilarityMatrix:
                                        T.Tensor(rng.normal(size=(2, 4))))
 
 
-class TestConcat:
-    def test_concat_and_split_gradient(self, rng):
-        a = T.Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
-        b = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        out = T.concat_channels([a, b])
-        assert out.shape == (2, 5, 4)
-        gradcheck(lambda: T.sum_all(T.absolute(T.concat_channels([a, b]))), [a, b], rng)
+class TestEmbedTaps:
+    def test_centred_placement(self):
+        k = T.Tensor(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
+        c = T.Tensor(np.array([[[5.0, 6.0, 7.0]]]))
+        w = T.Tensor(np.array([[[8.0, 9.0, 10.0, 11.0, 12.0]]]))
+        out = T.embed_taps([k, c, w])
+        np.testing.assert_array_equal(out.data[:, 0, :], [[0, 0, 1, 2, 0],
+                                                          [0, 0, 3, 4, 0],
+                                                          [0, 5, 6, 7, 0],
+                                                          [8, 9, 10, 11, 12]])
 
-    def test_batch_time_mismatch(self, rng):
+    def test_gradients_through_one_convolution(self, rng):
+        x = T.Tensor(rng.normal(size=(2, 1, 12)))
+        odd = T.Tensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
+        even = T.Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+        frozen = T.Tensor(rng.normal(size=(2, 1, 9)))
+        gradcheck(lambda: T.sum_all(T.absolute(T.conv1d(
+            x, T.embed_taps([odd, even, frozen])))), [odd, even], rng)
+        assert frozen.grad is None
+
+    def test_rejects_bad_shapes(self, rng):
         with pytest.raises(ShapeError):
-            T.concat_channels([T.Tensor(rng.normal(size=(2, 2, 4))),
-                               T.Tensor(rng.normal(size=(2, 2, 5)))])
+            T.embed_taps([T.Tensor(rng.normal(size=(2, 2, 3)))])
+        with pytest.raises(UsageError):
+            T.embed_taps([])

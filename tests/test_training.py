@@ -149,6 +149,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(orth_normalization="other").validate()
+        for lr in (0.0, -1e-3, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(lr=lr).validate()
 
 
 class TestTrainBase:
