@@ -81,21 +81,28 @@ def load_bundle(path, expected_kind: str | None = None):
         header = json.loads(body[hstart:hstart + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
     kind = header.get("kind")
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: expected a {expected_kind!r} bundle, found {kind!r}")
+    try:
+        entries = [(str(e["name"]), np.dtype(e["dtype"]), tuple(int(n) for n in e["shape"]))
+                   for e in header["arrays"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed array table in header") from exc
     arrays: dict[str, np.ndarray] = {}
     off = hstart + hlen
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
+    for name, dtype, shape in entries:
+        if dtype.hasobject:
+            raise CheckpointError(f"{path}: object dtype declared for {name!r}")
         nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         chunk = body[off:off + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array data for {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array data for {name!r}")
+        arrays[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         off += nbytes
     if off != len(body):
         raise CheckpointError(f"{path}: trailing bytes after declared arrays")

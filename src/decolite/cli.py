@@ -104,11 +104,19 @@ def _load_splits(name: str, data_root):
 
 
 def _append_manifest(run_root: Path, record: dict) -> None:
+    """Append ``record`` to the run root's manifest; an existing manifest that
+    is not ``{"runs": [...]}`` is a :class:`FormatError` and stays untouched."""
     path = run_root / "manifest.json"
     runs = []
     if path.exists():
-        with open(path, "r", encoding="utf-8") as fh:
-            runs = json.load(fh).get("runs", [])
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
+        runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
+        if not isinstance(runs, list):
+            raise FormatError(f'{path}: corrupt manifest: expected {{"runs": [...]}}')
     runs.append(record)
     write_json(path, {"runs": runs})
 

@@ -64,7 +64,8 @@ class ReduceLROnPlateau:
     Monitors a minimized quantity; an epoch counts as improving only when
     it beats the best seen value by more than ``threshold`` (absolute).
     After ``patience`` consecutive non-improving epochs the lr is scaled by
-    ``factor``, floored at ``min_lr``, and the stall counter resets.
+    ``factor``, floored at ``min_lr``, and the stall counter resets. A
+    reduction never raises the lr: one already below ``min_lr`` is kept.
     """
 
     def __init__(self, optimizer: Adam, factor: float = 0.5, patience: int = 50,
@@ -89,6 +90,7 @@ class ReduceLROnPlateau:
         else:
             self.stalled += 1
             if self.stalled >= self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
+                lr = self.optimizer.lr
+                self.optimizer.lr = min(lr, max(lr * self.factor, self.min_lr))
                 self.stalled = 0
         return self.optimizer.lr

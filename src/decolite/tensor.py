@@ -11,19 +11,24 @@ Each operation records its parent tensors and a gradient closure on the
 output, so the autodiff graph is the DAG of :class:`Tensor` nodes reached
 through ``_parents``. :func:`backward` walks that DAG once in reverse
 topological order from a scalar root and accumulates gradients into every
-tensor with ``requires_grad`` set. Operations whose inputs carry no
-gradient record nothing, and neither does any operation run inside
-:func:`no_grad`, so an eval-mode forward frees each intermediate as soon
-as the next layer has read it.
+tensor with ``requires_grad`` set; each interior gradient is dropped as
+soon as its node's closure has consumed it, so only leaf gradients
+outlive the sweep. Operations whose inputs carry no gradient record
+nothing, and neither does any operation run inside :func:`no_grad`, so an
+eval-mode forward frees each intermediate as soon as the next layer has
+read it.
 
 The convolution and batch-norm kernels read their activations where they
-lie: no kernel copies an activation into another layout, apart from the
-window matrix of a single-channel input (im2col). Convolutions take one
-of three paths: im2col, depthwise (``einsum`` over a strided window
-view) and channel-major (one GEMM per tap over time slices). Eval-mode
-batch norm is one affine pass; with ``relu=True`` batch norm clamps its own
-output in place and masks the incoming gradient itself, so the pair keeps
-one full-size activation in the graph instead of two.
+lie, and a graph node keeps its output and its parents but no copy of an
+input. Convolutions take one of three paths: im2col, depthwise
+(``einsum`` over a strided window view) and channel-major (one GEMM per
+tap over time slices); the padded input and the im2col window matrix are
+temporaries, rebuilt from the input when a kernel gradient needs them.
+Batch norm is one affine pass ``x * scale + shift`` in both modes (train
+mode takes a two-pass variance first) and stores no normalized map: its
+backward pass works from the input. With ``relu=True`` batch norm clamps
+its own output in place and masks the incoming gradient itself, so the
+pair keeps one full-size activation in the graph instead of two.
 
 All arithmetic is float64 and every reduction uses a fixed accumulation
 order, so identical inputs produce bit-identical outputs on one platform.
@@ -237,8 +242,9 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    # Interior grads are scratch space for this sweep; leaf grads persist
-    # so that successive sweeps accumulate.
+    # Interior grads are scratch space for this sweep: each is dropped as
+    # soon as its closure has consumed it. Leaf grads persist so that
+    # successive sweeps accumulate.
     for node in order:
         if node._backward is not None:
             node.grad = None
@@ -246,6 +252,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +273,8 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
         raise ShapeError("conv1d expects rank-3 input and kernel")
     if dilation < 1 or groups < 1:
         raise ConfigError("dilation and groups must be positive")
-    b, cin, t = x.shape
-    cout, cg, klen = kernel.shape
+    cin = x.shape[1]
+    cout, cg, _ = kernel.shape
     if cin % groups or cout % groups:
         raise ShapeError(f"channels ({cin} in, {cout} out) not divisible by groups={groups}")
     if cg != cin // groups:
@@ -277,10 +284,7 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
         if bias.shape != (cout,):
             raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
 
-    span = (klen - 1) * dilation
-    xp = np.pad(x.data, ((0, 0), (0, 0), (span // 2, span - span // 2))) if span else x.data
-
-    out, saved = _conv_forward(xp, kernel.data, dilation, groups, t)
+    out, saved = _conv_forward(x.data, kernel.data, dilation, groups)
     if bias is not None:
         out += bias.data[None, :, None]
 
@@ -300,87 +304,113 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
     return Tensor._op(out, parents, grad_fn)
 
 
+def _pad_time(a: np.ndarray, left: int, right: int) -> np.ndarray:
+    """``a`` zero-extended by ``left`` and ``right`` steps along its last axis."""
+    t = a.shape[-1]
+    out = np.empty(a.shape[:-1] + (left + t + right,), dtype=a.dtype)
+    out[..., :left] = 0.0
+    out[..., left + t:] = 0.0
+    out[..., left:left + t] = a
+    return out
+
+
+def _same_padded(x: np.ndarray, klen: int, dilation: int) -> np.ndarray:
+    """``x`` with the floor/ceil "same" padding of a dilated kernel; ``x``
+    itself when the kernel spans one step."""
+    span = (klen - 1) * dilation
+    return _pad_time(x, span // 2, span - span // 2) if span else x
+
+
 def _dilated_windows(arr: np.ndarray, klen: int, dilation: int) -> np.ndarray:
     """Strided view whose last axis holds the k dilated taps per position."""
     span = (klen - 1) * dilation
     return np.lib.stride_tricks.sliding_window_view(arr, span + 1, axis=-1)[..., ::dilation]
 
 
-def _conv_forward(xp: np.ndarray, k: np.ndarray, dilation: int, groups: int, t_out: int):
-    """Output and saved state of a convolution over the padded input ``xp``."""
-    b, cin, _ = xp.shape
+def _im2col(x: np.ndarray, klen: int, dilation: int) -> np.ndarray:
+    """(B, T, K) window matrix of a single-channel (B, 1, T) input."""
+    return np.ascontiguousarray(_dilated_windows(_same_padded(x, klen, dilation)[:, 0, :],
+                                                 klen, dilation))
+
+
+def _conv_forward(x: np.ndarray, k: np.ndarray, dilation: int, groups: int):
+    """Output and saved state of a convolution over the unpadded input
+    ``x``; the padded input and window matrix are temporaries."""
+    b, cin, t = x.shape
     cout, cg, klen = k.shape
     if cin == 1 and groups == 1:
-        # Single input channel: materialize the window matrix once and use
-        # one GEMM per sample that writes the (Cout, T) layout directly.
-        win = np.ascontiguousarray(_dilated_windows(xp[:, 0, :], klen, dilation))
-        out = np.matmul(k[:, 0, :], win.transpose(0, 2, 1))
-        return out, ("im2col", xp, k, dilation, win)
+        # Single input channel: materialize the window matrix and use one
+        # GEMM per sample that writes the (Cout, T) layout directly.
+        out = np.matmul(k[:, 0, :], _im2col(x, klen, dilation).transpose(0, 2, 1))
+        return out, ("im2col", x, k, dilation, None)
+    xp = _same_padded(x, klen, dilation)
     if groups == cin and cout == cin and cg == 1:
         # Depthwise: each channel's taps against the strided window view.
         # BLAS cannot take the overlapping view, so matmul would fall back
         # to its slow generic loop; a plain einsum reads the view in place
         # (optimize=True would copy it).
         out = np.einsum("bctk,ck->bct", _dilated_windows(xp, klen, dilation), k[:, 0, :])
-        return out, ("depthwise", xp, k, dilation, None)
+        return out, ("depthwise", x, k, dilation, None)
     # Channel-major: per tap, one GEMM per (sample, group) over a time
     # slice of the (B, groups, Cg, T) input, with no transposed copy.
     og = cout // groups
     xg = xp.reshape(b, groups, cg, -1)
     kt = np.ascontiguousarray(k.reshape(groups, og, cg, klen).transpose(3, 0, 1, 2))
-    out = np.matmul(kt[0], xg[..., :t_out])
+    out = np.matmul(kt[0], xg[..., :t])
     for i in range(1, klen):
         off = i * dilation
-        out += np.matmul(kt[i], xg[..., off:off + t_out])
-    return out.reshape(b, cout, t_out), ("channelmajor", xp, k, dilation, kt)
+        out += np.matmul(kt[i], xg[..., off:off + t])
+    return out.reshape(b, cout, t), ("channelmajor", x, k, dilation, kt)
 
 
 def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool):
     """(input gradient, kernel gradient) of a convolution, either None when
     not needed; the input gradient is with respect to the unpadded input."""
-    path, xp, k, dilation, extra = saved
-    b, cin, _ = xp.shape
+    path, x, k, dilation, kt = saved
+    b, cin, t = x.shape
     cout, cg, klen = k.shape
-    t = g.shape[2]
     span = (klen - 1) * dilation
     pad_left = span // 2
     gx = gk = None
 
+    # The padded input and the window matrix are rebuilt for the kernel
+    # gradient and dropped before the input gradient is allocated.
     if path == "depthwise":
         if need_kernel:
             # One contraction of g with the strided window view, which
             # einsum reads in place.
+            xp = _same_padded(x, klen, dilation)
             gk = np.einsum("bct,bctk->ck", g, _dilated_windows(xp, klen, dilation))[:, None, :]
+            del xp
         if need_input:
             # The input gradient is the correlation of the zero-extended
             # output gradient with the tap-reversed kernel, evaluated only
             # at the unpadded positions.
-            gz = np.pad(g, ((0, 0), (0, 0), (span - pad_left, pad_left)))
+            gz = _pad_time(g, span - pad_left, pad_left)
             gx = np.einsum("bctk,ck->bct", _dilated_windows(gz, klen, dilation), k[:, 0, ::-1])
     elif path == "im2col":
-        win = extra
         if need_kernel:
             # One (Cout, T) @ (T, K) GEMM per sample, summed over the batch;
             # a tensordot would first copy g into (B, T, Cout) order.
-            gk = np.matmul(g, win).sum(axis=0)[:, None, :]
+            gk = np.matmul(g, _im2col(x, klen, dilation)).sum(axis=0)[:, None, :]
         if need_input:
             gwin = g.transpose(0, 2, 1) @ k[:, 0, :]
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((b, 1, t + span), dtype=np.float64)
             for i in range(klen):
                 off = i * dilation
                 gxp[:, 0, off:off + t] += gwin[:, :, i]
             gx = gxp[:, :, pad_left:pad_left + t]
     else:
-        kt = extra
         groups = cin // cg
         og = cout // groups
-        xg = xp.reshape(b, groups, cg, -1)
         gg = g.reshape(b, groups, og, t)
         if need_kernel:
+            xg = _same_padded(x, klen, dilation).reshape(b, groups, cg, -1)
             # Per-sample g @ x^T, summed over the batch in order.
             gk = np.stack([np.matmul(gg, xg[..., i * dilation:i * dilation + t]
                                      .swapaxes(-1, -2)).sum(axis=0)
                            for i in range(klen)], axis=-1).reshape(cout, cg, klen)
+            del xg
         if need_input:
             ktt = kt.swapaxes(-1, -2)
             if span == 0:
@@ -470,29 +500,29 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
     train_mode = mode == "train"
     if train_mode:
         mean = x.data.mean(axis=(0, 2))
-        xhat = x.data - mean[None, :, None]
-        var = np.einsum("bct,bct->c", xhat, xhat) / m
+        # Two-pass variance over one centred (C, T) slab at a time, so no
+        # centred copy of the whole input is formed.
+        var = np.zeros(c)
+        for x_b in x.data:
+            xc = x_b - mean[:, None]
+            var += np.einsum("ct,ct->c", xc, xc)
+        var /= m
         if running_mean is not None:
             running_mean *= momentum
             running_mean += (1.0 - momentum) * mean
         if running_var is not None:
             running_var *= momentum
             running_var += (1.0 - momentum) * var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv[None, :, None]
-        out = xhat * gamma.data[None, :, None]
-        out += beta.data[None, :, None]
     else:
         if running_mean is None or running_var is None:
             raise StateError("eval-mode batch norm requires initialized running statistics")
-        # One affine pass; the normalized input is formed only if a
-        # backward pass asks for it.
         mean = running_mean.copy()
-        inv = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.data * inv
-        out = x.data * scale[None, :, None]
-        out += (beta.data - mean * scale)[None, :, None]
-        xhat = None
+        var = running_var
+    # One affine pass in both modes; the normalized input is never stored.
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = gamma.data * inv
+    out = x.data * scale[None, :, None]
+    out += (beta.data - mean * scale)[None, :, None]
     if relu:
         np.maximum(out, 0.0, out=out)
 
@@ -505,30 +535,30 @@ def batch_norm_1d(x: Tensor, gamma: Tensor, beta: Tensor,
             for g_b, out_b, gm_b in zip(g, out, gm):
                 np.multiply(g_b, out_b > 0.0, out=gm_b)
             g = gm
-        xn = xhat if train_mode else (x.data - mean[None, :, None]) * inv[None, :, None]
         # Both per-channel sums serve the gamma and beta gradients and, in
         # train mode, the two batch-statistics terms of the input gradient.
+        # sgx is the sum of g times the normalized input, taken from x.
         sg = g.sum(axis=(0, 2))
-        sgx = np.einsum("bct,bct->c", g, xn)
+        sgx = inv * (np.einsum("bct,bct->c", g, x.data) - mean * sg)
         if gamma.requires_grad:
             _accumulate(gamma, sgx)
         if beta.requires_grad:
             _accumulate(beta, sg)
         if x.requires_grad:
-            gscale = gamma.data * inv
             if not train_mode:
-                _accumulate(x, g * gscale[None, :, None])
+                _accumulate(x, g * scale[None, :, None])
                 return
             # Batch statistics depend on x, so their gradient terms (mean
-            # and xhat-projection removal) are included. One sample at a
-            # time, so each term's temporary is one (C, T) slab.
-            c_proj = (gscale * sgx / m)[:, None]
-            c_mean = (gscale * sg / m)[:, None]
+            # and projection removal) are included:
+            # scale * (g - sg/m - xhat * sgx/m) = g*scale - x*a + b.
+            # One sample at a time, so each term's temporary is one (C, T) slab.
+            a = (scale * inv * sgx / m)[:, None]
+            b = (a[:, 0] * mean - scale * sg / m)[:, None]
             gx = g if relu else np.empty_like(g)
-            for g_b, xhat_b, gx_b in zip(g, xn, gx):
-                np.multiply(g_b, gscale[:, None], out=gx_b)
-                gx_b -= xhat_b * c_proj
-                gx_b -= c_mean
+            for g_b, x_b, gx_b in zip(g, x.data, gx):
+                np.multiply(g_b, scale[:, None], out=gx_b)
+                gx_b -= x_b * a
+                gx_b += b
             _accumulate(x, gx)
 
     return Tensor._op(out, (x, gamma, beta), grad_fn)

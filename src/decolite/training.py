@@ -211,15 +211,57 @@ def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset,
     return cache
 
 
+def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
+                model: LiteModel, opt: Adam, prev_models: list[LiteModel],
+                cached: list[np.ndarray] | None, epoch: int):
+    """One optimizer step on the batch ``idx``.
+
+    Returns plain numbers only (cross-entropy, orthogonality loss, total
+    loss, correct predictions), so the step's graph, its activations and
+    their gradients are freed when it returns, before the next step's
+    forward pass starts.
+    """
+    xb = Tensor(ds.X[idx])
+    try:
+        logits, feats = model.forward(xb, mode="train")
+    except NumericError as exc:
+        raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
+    ce = softmax_cross_entropy(logits, ds.Y[idx])
+    if prev_models:
+        if cached is not None:
+            prev_feats = [Tensor(f[idx]) for f in cached]
+        else:
+            prev_feats = [p.forward(xb, mode="eval")[1] for p in prev_models]
+        # A zero-weight penalty must not touch the gradient graph, so
+        # detach it when only cross-entropy counts.
+        feats_for_orth = feats.detach() if config.alpha == 1.0 else feats
+        orth = sequential_orthogonality_loss(
+            feats_for_orth, prev_feats, mode=config.orth_normalization,
+            include_diagonal=config.include_diagonal)
+        loss = total_loss(ce, orth, config.alpha)
+        orth_value = orth.item()
+    else:
+        loss = ce
+        orth_value = 0.0
+    loss_value = loss.item()
+    if not np.isfinite(loss_value):
+        raise NumericError(f"training loss diverged at epoch {epoch}")
+    opt.zero_grad()
+    backward(loss)
+    opt.step()
+    hits = int((logits.data.argmax(axis=1) == ds.y[idx]).sum())
+    return ce.item(), orth_value, loss_value, hits
+
+
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
                 prev_models: list[LiteModel], out_dir=None, feature_cache=None):
     config.validate()
     out_dir = Path(out_dir) if out_dir is not None else None
-    use_orth = bool(prev_models)
-    if use_orth:
+    cached = None
+    if prev_models:
         _check_feature_compat(model, prev_models, ds)
-    cached = (_frozen_features(prev_models, ds, [] if feature_cache is None else feature_cache)
-              if use_orth else None)
+        cached = _frozen_features(prev_models, ds,
+                                  [] if feature_cache is None else feature_cache)
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -234,40 +276,13 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         ce_sum = orth_sum = total_sum = 0.0
         correct = 0
         for idx in batch_indices(ds.n, config.batch_size, config.seed, epoch):
-            xb = Tensor(ds.X[idx])
-            try:
-                logits, feats = model.forward(xb, mode="train")
-            except NumericError as exc:
-                raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
-            ce = softmax_cross_entropy(logits, ds.Y[idx])
-            if use_orth:
-                if cached is not None:
-                    prev_feats = [Tensor(f[idx]) for f in cached]
-                else:
-                    prev_feats = [p.forward(xb, mode="eval")[1] for p in prev_models]
-                # A zero-weight penalty must not touch the gradient graph,
-                # so detach it when only cross-entropy counts.
-                feats_for_orth = feats.detach() if config.alpha == 1.0 else feats
-                orth = sequential_orthogonality_loss(
-                    feats_for_orth, prev_feats, mode=config.orth_normalization,
-                    include_diagonal=config.include_diagonal)
-                loss = total_loss(ce, orth, config.alpha)
-                orth_value = orth.item()
-            else:
-                loss = ce
-                orth_value = 0.0
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise NumericError(f"training loss diverged at epoch {epoch}")
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-
+            ce, orth, total, hits = _train_step(ds, idx, config, model, opt, prev_models,
+                                                cached, epoch)
             nb = idx.size
-            ce_sum += ce.item() * nb
-            orth_sum += orth_value * nb
-            total_sum += loss_value * nb
-            correct += int((logits.data.argmax(axis=1) == ds.y[idx]).sum())
+            ce_sum += ce * nb
+            orth_sum += orth * nb
+            total_sum += total * nb
+            correct += hits
 
         epoch_total = total_sum / ds.n
         log.append(EpochRecord(epoch=epoch, lr=lr_now, ce_loss=ce_sum / ds.n,

@@ -62,6 +62,17 @@ class TestTrainCommand:
         manifest = _manifest(tmp_path / "runs" / "synthetic" / "base-1")
         assert len(manifest["runs"]) == 2
 
+    @pytest.mark.parametrize("corrupt", [b'{"runs": [', b"[]", b'{"runs": {}}'],
+                             ids=["truncated", "list", "runs-not-list"])
+    def test_corrupt_manifest_is_data_error_and_kept(self, train_args, tmp_path, capsys,
+                                                     corrupt):
+        path = tmp_path / "runs" / "synthetic" / "base-1" / "manifest.json"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(corrupt)
+        assert dispatch(train_args) == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert path.read_bytes() == corrupt
+
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = dispatch(["train", "--out", str(tmp_path), "--epochs", "2"])
         assert code == 1

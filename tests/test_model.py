@@ -1,11 +1,13 @@
 """LITE model: custom filters, initialization, forward contracts, checkpoints."""
 
+import hashlib
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from decolite import arrayio
 from decolite import tensor as T
 from decolite.errors import CheckpointError, ConfigError, ShapeError
 from decolite.model import (INCEPTIONTIME_REFERENCE_PARAM_COUNT, LiteArchitectureConfig,
@@ -191,11 +193,29 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert outputs[0].requires_grad
-        # About 8.2x: the first block keeps its window matrix, its conv
-        # output and the normalized and clamped maps of its batch norm.
-        # A separate ReLU node and per-bank convolutions joined by a
-        # concatenation keep about 10.7x.
+        # About 4.5x: each conv and batch norm keeps its output only (three
+        # 113-channel maps, the rest 32 channels wide). Saved window
+        # matrices, padded conv inputs and normalized batch-norm maps keep
+        # about 8.2x; a separate ReLU node and per-bank convolutions joined
+        # by a concatenation on top of those, about 10.7x.
         assert kept - before <= 9 * activation
+
+    def test_backward_keeps_only_leaf_gradients(self, arch, rng):
+        model = init_model(arch, 2, 0)
+        logits, _ = model.forward(rng.normal(size=(2, 1, 32)), mode="train")
+        loss = softmax_cross_entropy(logits, np.eye(2))
+        backward(loss)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        interior = [n for n in nodes.values() if n._backward is not None]
+        leaves = [n for n in nodes.values() if n._backward is None and n.requires_grad]
+        assert len(interior) > 10 and len(leaves) > 10
+        assert all(n.grad is None for n in interior)
+        assert all(n.grad is not None for n in leaves)
 
     def test_train_forward_updates_running_stats(self, arch, rng):
         model = init_model(arch, 2, 0)
@@ -290,6 +310,23 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    @pytest.mark.parametrize("header", [
+        b'{"format_version": 1, "kind": "x", "meta": {}}',
+        b'[1, 2]',
+        b'{"format_version": 1, "kind": "x", "meta": {}, '
+        b'"arrays": [{"name": "w", "dtype": "no-such-dtype", "shape": [1]}]}',
+        b'{"format_version": 1, "kind": "x", "meta": {}, '
+        b'"arrays": [{"name": "w", "dtype": "|O", "shape": [0]}]}',
+    ], ids=["no-arrays", "not-an-object", "bad-dtype", "object-dtype"])
+    def test_malformed_header_detected(self, tmp_path, header):
+        # Checksum-valid bundles whose header lacks the array table, is not
+        # an object, or names an unknown or object dtype.
+        path = tmp_path / "bad.ckpt"
+        body = arrayio._MAGIC + len(header).to_bytes(8, "big") + header
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError, match="bad.ckpt"):
+            arrayio.load_bundle(path)
 
     def test_truncation_detected(self, arch, tmp_path):
         path = tmp_path / "model.ckpt"

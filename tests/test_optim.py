@@ -86,6 +86,12 @@ class TestReduceLROnPlateau:
             sched.step(1.0)
         assert opt.lr == 1e-4
 
+    def test_lr_below_floor_is_never_raised(self):
+        opt, sched = self._make(lr=1e-5, patience=2)
+        for _ in range(10):
+            sched.step(1.0)
+        assert opt.lr == 1e-5
+
     def test_improvement_below_threshold_counts_as_stall(self):
         opt, sched = self._make(patience=3)
         sched.step(1.0)

@@ -127,6 +127,20 @@ class TestConv1d:
         # The padded input plus the output; a K-fold window copy is ~20x.
         assert peak <= 3 * out.data.nbytes
 
+    def test_depthwise_forward_keeps_no_padded_input(self, rng):
+        x = T.Tensor(rng.normal(size=(4, 113, 256)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(113, 1, 20)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = T.conv1d(x, k, dilation=2, groups=113)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        # The output alone; the padded input (38 more steps) adds 1.15x.
+        assert kept - before <= 1.1 * out.data.nbytes
+
     def test_depthwise_gradients_long_dilated_kernel(self, rng):
         x = T.Tensor(rng.normal(size=(2, 3, 30)), requires_grad=True)
         k = T.Tensor(rng.normal(size=(3, 1, 7)), requires_grad=True)
@@ -286,6 +300,31 @@ class TestBatchNorm:
         for unfused, fused in zip(*runs):
             assert np.ascontiguousarray(fused).tobytes() == \
                 np.ascontiguousarray(unfused).tobytes()
+
+    def test_fused_train_mode_matches_formula(self, rng):
+        # Channel 0 sits about 1e3 standard deviations from zero, where a
+        # variance taken as E[x^2] - mean^2 loses about six digits.
+        x = rng.normal(size=(3, 4, 50)) * np.array([1.0, 0.5, 2.0, 3.0])[None, :, None]
+        x[:, 0] += 1e3
+        gamma, beta = np.array([1.5, -0.7, 0.9, -1.2]), rng.normal(size=4)
+        weight = rng.normal(size=x.shape)
+        leaves = [T.Tensor(v, requires_grad=True) for v in (x, gamma, beta)]
+        out = T.batch_norm_1d(*leaves, mode="train", relu=True)
+        T.backward(T.sum_all(out * weight))
+
+        m = x.shape[0] * x.shape[2]
+        mean = x.mean(axis=(0, 2), keepdims=True)
+        std = np.sqrt(((x - mean) ** 2).mean(axis=(0, 2), keepdims=True) + 1e-5)
+        xhat = (x - mean) / std
+        pre = xhat * gamma[None, :, None] + beta[None, :, None]
+        g = weight * (pre > 0.0)
+        sg, sgx = g.sum(axis=(0, 2)), (g * xhat).sum(axis=(0, 2))
+        gx = gamma[None, :, None] / std * (g - sg[None, :, None] / m
+                                           - xhat * sgx[None, :, None] / m)
+        assert 0 < np.count_nonzero(out.data) < x.size
+        for got, want in zip([out.data] + [leaf.grad for leaf in leaves],
+                             [np.maximum(pre, 0.0), gx, sgx, sg]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_gradients(self, rng, mode):

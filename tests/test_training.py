@@ -1,5 +1,6 @@
 """Losses and training loops: algebra, contracts, decorrelation effect."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
-from decolite.model import LiteModel, init_model, model_checksum
+from decolite.model import LiteArchitectureConfig, LiteModel, init_model, model_checksum
 from decolite.training import (TrainConfig, build_ensemble, orthogonality_loss,
                                sequential_orthogonality_loss, total_loss, train_base,
                                train_decorrelated)
@@ -235,13 +236,28 @@ class TestTrainDecorrelated:
         assert model_checksum(plain) == model_checksum(deco)
 
     def test_feature_width_mismatch_rejected(self):
-        from decolite.model import LiteArchitectureConfig
         ds = synthetic_trend_dataset(n=16, length=16, seed=1)
         slim = LiteArchitectureConfig(n_filters=16)
         ref, _ = train_base(ds, _quick(seed=0, epochs=2), arch=slim)
         with pytest.raises(ConfigError):
             train_decorrelated(ds, _quick(seed=1, epochs=2), [ref],
                                arch=LiteArchitectureConfig())
+
+    def test_peak_memory_is_a_few_activations(self):
+        ds = synthetic_trend_dataset(n=8, length=256, seed=0)
+        ref = init_model(LiteArchitectureConfig(), ds.n_classes, 0)
+        activation = 8 * (32 * 3 + 17) * 256 * 8  # one 113-channel float64 map
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            train_decorrelated(ds, TrainConfig(epochs=3, batch_size=8, seed=1), [ref])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 8.6x. A step graph that outlives its step (alive during the
+        # next forward, with its interior gradients), saved padded conv
+        # inputs and normalized batch-norm maps peak at about 22x.
+        assert peak - before <= 10 * activation
 
     def test_uncached_predecessor_features_give_identical_results(self, monkeypatch):
         # Below the memory cap the frozen models' features are computed once
