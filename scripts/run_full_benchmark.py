@@ -40,7 +40,7 @@ from decolite.errors import CheckpointError
 from decolite.evaluation import (ResultsTable, _member_probs, _sorted_mean, accuracy,
                                  format_p_value, mcm, wilcoxon_signed_rank)
 from decolite.model import load_model, save_model
-from decolite.training import TrainConfig, _train_member, train_base
+from decolite.training import TrainConfig, train_base, train_decorrelated
 
 SIZES = (2, 3, 4, 5)
 
@@ -54,7 +54,7 @@ def _train_or_load(path, kind, ds, cfg, prev, feature_cache=None):
         except CheckpointError as exc:
             print(f"  retraining: {exc}", file=sys.stderr)
     model, _ = (train_base(ds, cfg) if kind == "base"
-                else _train_member(ds, cfg, prev, None, None, feature_cache))
+                else train_decorrelated(ds, cfg, prev, feature_cache=feature_cache))
     path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, path)
     return model

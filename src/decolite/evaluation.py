@@ -86,8 +86,12 @@ def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
 
     Each member runs one forward over the split; the ensemble mean is
     built from those same outputs exactly as :func:`ensemble_predict`
-    builds it.
+    builds it. Members trained for another class count than the split's
+    are a :class:`ConfigError`.
     """
+    if models and models[0].n_classes != ds.n_classes:
+        raise ConfigError(f"members were trained for {models[0].n_classes} classes, "
+                          f"{ds.name} has {ds.n_classes}")
     stacked = _member_probs(models, ds.X)
     members = [accuracy(p.argmax(axis=1), ds.y) for p in stacked]
     ens = accuracy(_sorted_mean(stacked).argmax(axis=1), ds.y)
@@ -226,7 +230,10 @@ class ResultsTable:
                 values.append([float(v) for v in fields[1:]])
             except ValueError as exc:
                 raise FormatError(f"{path}: non-numeric accuracy in row {fields[0]!r}") from exc
-        return cls(classifiers, datasets, np.asarray(values).T)
+        try:
+            return cls(classifiers, datasets, np.asarray(values).T)
+        except InputError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 @dataclass

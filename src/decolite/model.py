@@ -273,6 +273,9 @@ class LiteModel:
         if set(arrays) != set(current):
             missing = set(current) ^ set(arrays)
             raise CheckpointError(f"state keys do not match this architecture: {sorted(missing)}")
+        bad = [k for k, v in current.items() if np.shape(arrays[k]) != v.shape]
+        if bad:
+            raise CheckpointError(f"state shapes do not match this architecture: {bad}")
         for i, w in enumerate(self.first_kernels):
             w.data = np.array(arrays[f"first{i}"], dtype=np.float64)
         for i, bn in enumerate(self._bn, start=1):
@@ -349,12 +352,21 @@ def save_model(model: LiteModel, path) -> None:
 
 
 def load_model(path) -> LiteModel:
+    """Read a checkpoint written by :func:`save_model`.
+
+    A bundle whose metadata does not describe a LITE model, or whose arrays
+    do not fit the architecture it names, is a :class:`CheckpointError`
+    naming ``path``, like a corrupt file.
+    """
     _, meta, arrays = load_bundle(path, expected_kind="lite-model")
-    raw = dict(meta["config"])
-    for key in ("first_layer_kernel_sizes", "dwsc_kernel_sizes", "dwsc_dilations",
-                "trend_filter_lengths", "peak_filter_lengths"):
-        raw[key] = tuple(raw[key])
-    config = LiteArchitectureConfig(**raw)
-    model = LiteModel(config, int(meta["n_classes"]), int(meta["seed"]))
-    model.load_state_arrays(arrays)
+    try:
+        raw = dict(meta["config"])
+        for key in ("first_layer_kernel_sizes", "dwsc_kernel_sizes", "dwsc_dilations",
+                    "trend_filter_lengths", "peak_filter_lengths"):
+            raw[key] = tuple(raw[key])
+        model = LiteModel(LiteArchitectureConfig(**raw), int(meta["n_classes"]),
+                          int(meta["seed"]))
+        model.load_state_arrays(arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: not a LITE model checkpoint: {exc}") from exc
     return model

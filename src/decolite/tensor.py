@@ -647,14 +647,15 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     """Pairwise cosine similarity between the channel rows of two maps.
 
-    Rank-2 inputs (C, T) produce a (C, C) matrix whose entry (i, j) is the
-    cosine of a's row i against b's row j; rank-3 inputs (B, C, T) are a
-    batch of such maps and produce (B, C, C). The denominator is clamped
-    below at ``eps``, so zero-norm rows yield similarity 0 and positive
-    per-row rescaling cannot change any entry. Entries stay in [-1, 1].
+    Rank-2 inputs (Ca, T) and (Cb, T) produce a (Ca, Cb) matrix whose entry
+    (i, j) is the cosine of a's row i against b's row j; rank-3 inputs
+    (B, Ca, T) and (B, Cb, T) are a batch of such maps and give (B, Ca, Cb).
+    The denominator is clamped below at ``eps``, so zero-norm rows yield
+    similarity 0 and positive per-row rescaling cannot change any entry.
+    Entries stay in [-1, 1].
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
+    if a.ndim != b.ndim or a.shape[:-2] + a.shape[-1:] != b.shape[:-2] + b.shape[-1:]:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim not in (2, 3):
         raise ShapeError("cosine_similarity_matrix expects rank-2 or rank-3 inputs")

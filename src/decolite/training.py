@@ -1,10 +1,12 @@
 """Cross-entropy and decorrelated training of LITE models.
 
 The feature-orthogonality loss measures, per sample, the absolute
-pairwise cosine similarities between the channel rows of two feature maps
-and sums them over distinct channel pairs. Decorrelated training adds the
-average of that loss against every previously trained (frozen) model to
-the cross-entropy objective, weighted by ``alpha``:
+pairwise cosine similarities between the channel rows of a new model's
+feature map and those of every previously trained (frozen) model, in one
+similarity op against the predecessors' maps stacked on the channel axis,
+and sums them over distinct channel pairs. Decorrelated training adds its
+average over the predecessors to the cross-entropy objective, weighted by
+``alpha``:
 
     total = alpha * cross_entropy + (1 - alpha) * orthogonality
 
@@ -51,7 +53,8 @@ _FEATURE_CACHE_LIMIT = 1_500_000_000
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All training hyperparameters for one model."""
+    """All training hyperparameters for one model; ``orth_normalization`` is
+    the ``mode`` of :func:`sequential_orthogonality_loss`."""
 
     alpha: float = 0.5
     lr: float = 1e-3
@@ -61,8 +64,7 @@ class TrainConfig:
     epochs: int = 1500
     batch_size: int = 64
     seed: int = 0
-    orth_normalization: str = "mean"  # "mean": average over channel pairs; "raw": plain sum
-    include_diagonal: bool = False    # study switch; the loss skips i == j by default
+    orth_normalization: str = "mean"
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -114,46 +116,42 @@ class TrainLog:
 
 
 def orthogonality_loss(features_a, features_b, mode: str = "mean",
-                       eps: float = 1e-8, include_diagonal: bool = False) -> Tensor:
-    """Feature-orthogonality penalty between two (B, C, T) feature maps.
-
-    Per sample, the C x C cosine-similarity matrix between the channel
-    rows of ``features_a`` and ``features_b`` is formed and the absolute
-    values of its distinct-pair entries (i != j) are summed. "raw" mode
-    returns the batch mean of that per-sample sum; "mean" mode divides
-    additionally by the number of summed pairs. Always non-negative, and
-    zero when C == 1 (no distinct pairs).
-    """
-    a, b = as_tensor(features_a), as_tensor(features_b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError("orthogonality_loss expects (B, C, T) feature maps")
-    if a.shape != b.shape:
-        raise ShapeError(f"feature shapes differ: {a.shape} vs {b.shape}")
-    if mode not in ("mean", "raw"):
-        raise ConfigError(f"unknown normalization mode {mode!r}")
-    bsz, c, _ = a.shape
-    if c == 1 and not include_diagonal:
-        return Tensor(np.asarray(0.0))
-
-    sim = cosine_similarity_matrix(a, b, eps=eps)
-    mask = np.ones((c, c)) if include_diagonal else 1.0 - np.eye(c)
-    penalty = sum_all(absolute(sim) * mask) * (1.0 / bsz)
-    if mode == "mean":
-        penalty = penalty * (1.0 / mask.sum())
-    return penalty
+                       eps: float = 1e-8) -> Tensor:
+    """The loss of :func:`sequential_orthogonality_loss` against the single
+    predecessor ``features_b``."""
+    return sequential_orthogonality_loss(features_a, [features_b], mode, eps)
 
 
 def sequential_orthogonality_loss(features_new, prev_features: list, mode: str = "mean",
-                                  eps: float = 1e-8, include_diagonal: bool = False) -> Tensor:
-    """Mean orthogonality loss of a new feature map against earlier models'."""
+                                  eps: float = 1e-8) -> Tensor:
+    """Feature-orthogonality penalty of a (B, C, T) map against P earlier ones.
+
+    The P (B, C, T) predecessor maps are stacked on the channel axis into
+    one constant, which gets no gradient, and one cosine-similarity op
+    gives the (B, C, P*C) similarities of the new channel rows against all
+    of theirs. The absolute values of the distinct-pair entries (i != j
+    within each predecessor's block) are summed and divided by B*P ("raw")
+    or by B*P*C*(C-1) ("mean", also averaging over the pairs). Always
+    non-negative, and zero when C == 1 (no distinct pairs).
+    """
     if not prev_features:
         raise UsageError("sequential loss needs at least one previous feature map")
-    terms = [orthogonality_loss(features_new, f, mode, eps, include_diagonal)
-             for f in prev_features]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+    new = as_tensor(features_new)
+    prev = [f.data if isinstance(f, Tensor) else np.asarray(f, dtype=np.float64)
+            for f in prev_features]
+    if new.ndim != 3 or any(f.shape != new.shape for f in prev):
+        raise ShapeError(f"expected (B, C, T) feature maps of one shape, got {new.shape} "
+                         f"and {[f.shape for f in prev]}")
+    if mode not in ("mean", "raw"):
+        raise ConfigError(f"unknown normalization mode {mode!r}")
+    bsz, c, _ = new.shape
+    if c == 1:
+        return Tensor(np.asarray(0.0))
+
+    sim = cosine_similarity_matrix(new, Tensor(np.concatenate(prev, axis=1)), eps=eps)
+    mask = np.tile(1.0 - np.eye(c), len(prev))
+    pairs = c * (c - 1) if mode == "mean" else 1
+    return sum_all(absolute(sim) * mask) * (1.0 / (bsz * len(prev) * pairs))
 
 
 def total_loss(ce, orth, alpha: float) -> Tensor:
@@ -178,7 +176,7 @@ def total_loss(ce, orth, alpha: float) -> Tensor:
 # training loops
 
 
-def _check_feature_compat(model: LiteModel, prev: list[LiteModel], ds) -> None:
+def _check_feature_compat(model: LiteModel, prev: list[LiteModel]) -> None:
     for i, p in enumerate(prev):
         if p.config.n_filters != model.config.n_filters:
             raise ConfigError(f"previous model {i} produces {p.config.n_filters} feature "
@@ -228,16 +226,16 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
         raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
     ce = softmax_cross_entropy(logits, ds.Y[idx])
     if prev_models:
-        if cached is not None:
-            prev_feats = [Tensor(f[idx]) for f in cached]
-        else:
-            prev_feats = [p.forward(xb, mode="eval")[1] for p in prev_models]
         # A zero-weight penalty must not touch the gradient graph, so
-        # detach it when only cross-entropy counts.
+        # detach it when only cross-entropy counts. The predecessors' maps
+        # go in as a temporary list of arrays: the loss stacks them into
+        # one constant, and the gathered copies are freed when it returns.
         feats_for_orth = feats.detach() if config.alpha == 1.0 else feats
         orth = sequential_orthogonality_loss(
-            feats_for_orth, prev_feats, mode=config.orth_normalization,
-            include_diagonal=config.include_diagonal)
+            feats_for_orth,
+            [f[idx] for f in cached] if cached is not None
+            else [p.forward(xb, mode="eval")[1].data for p in prev_models],
+            mode=config.orth_normalization)
         loss = total_loss(ce, orth, config.alpha)
         orth_value = orth.item()
     else:
@@ -259,7 +257,7 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
     out_dir = Path(out_dir) if out_dir is not None else None
     cached = None
     if prev_models:
-        _check_feature_compat(model, prev_models, ds)
+        _check_feature_compat(model, prev_models)
         cached = _frozen_features(prev_models, ds,
                                   [] if feature_cache is None else feature_cache)
 
@@ -317,23 +315,18 @@ def train_base(ds: TimeSeriesDataset, config: TrainConfig,
 
 def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
                        prev_models: list[LiteModel],
-                       arch: LiteArchitectureConfig | None = None, out_dir=None):
+                       arch: LiteArchitectureConfig | None = None, out_dir=None,
+                       feature_cache: list[np.ndarray] | None = None):
     """Train one model whose features are pushed orthogonal to earlier models.
 
     ``prev_models`` stay frozen: their features are computed in eval mode
     with no gradient and their parameters are untouched. The new model is
     seeded from ``config.seed``, which callers pair with the seed of the
     corresponding plain model so that both start bit-identical.
-    """
-    return _train_member(ds, config, prev_models, arch, out_dir, None)
 
-
-def _train_member(ds, config, prev_models, arch, out_dir, feature_cache):
-    """``train_decorrelated`` with a feature list shared down a chain.
-
-    Callers that train a chain member by member pass one list for the
-    whole chain, so each member's features are computed once (see
-    ``_frozen_features``); None computes them afresh.
+    Callers that train a chain member by member pass one ``feature_cache``
+    list for the whole chain, so each member's training-set features are
+    computed once (see ``_frozen_features``); None computes them afresh.
     """
     if not prev_models:
         raise UsageError("decorrelated training requires at least one previous model")
@@ -383,7 +376,8 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
         if kind == "base" or i == 0:
             model, log = train_base(ds, member_cfg, arch, out_dir)
         else:
-            model, log = _train_member(ds, member_cfg, models, arch, out_dir, feature_cache)
+            model, log = train_decorrelated(ds, member_cfg, models, arch, out_dir,
+                                            feature_cache)
         models.append(model)
         logs.append(log)
 

@@ -13,6 +13,7 @@ from decolite import arrayio
 from decolite.cli import _append_manifest, dispatch
 from decolite.diversity import Embedding2D, FeatureStats, FilterDistanceMatrix, write_fid_report
 from decolite.evaluation import ResultsTable, mcm
+from decolite.model import LiteArchitectureConfig, init_model, save_model
 from decolite.training import EpochRecord, TrainLog
 
 
@@ -244,6 +245,16 @@ class TestEvaluateCommand:
         assert code == 2
 
 
+    def test_class_count_mismatch_is_config_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "five.ckpt"
+        save_model(init_model(LiteArchitectureConfig(), 5, 0), ckpt)
+        code = dispatch(["evaluate", "--models", str(ckpt), "--dataset", "synthetic",
+                         "--out", str(tmp_path / "runs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "5 classes" in err and "has 2" in err
+
+
 class TestMcmCommand:
     def test_report_matches_library_oracle(self, tmp_path):
         table = ResultsTable(["a", "b"], ["d1", "d2", "d3"],
@@ -256,6 +267,15 @@ class TestMcmCommand:
         want = mcm(table).to_json_dict()
         assert payload == json.loads(json.dumps(want))
         assert (tmp_path / "runs" / "mcm" / "mcm_matrix.csv").is_file()
+
+    @pytest.mark.parametrize("cell", ["1.5", "nan"])
+    def test_bad_accuracy_cell_is_data_error(self, tmp_path, capsys, cell):
+        results = tmp_path / "results.csv"
+        results.write_text(f"dataset,a,b\nd1,0.9,{cell}\nd2,0.8,0.7\n")
+        assert dispatch(["mcm", "--results", str(results),
+                         "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "results.csv" in err
 
     def test_missing_results_flag(self, tmp_path):
         assert dispatch(["mcm", "--out", str(tmp_path)]) == 1

@@ -328,6 +328,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad.ckpt"):
             arrayio.load_bundle(path)
 
+    @pytest.mark.parametrize("case", ["empty-meta", "unknown-config-key", "bad-shape"])
+    def test_checksum_valid_non_model_detected(self, arch, tmp_path, case):
+        # Checksum-valid lite-model bundles whose metadata or array shapes
+        # do not describe a LITE model of the architecture they name.
+        path = tmp_path / "bad.ckpt"
+        save_model(init_model(arch, 2, 0), path)
+        _, meta, arrays = arrayio.load_bundle(path)
+        if case == "empty-meta":
+            meta = {}
+        elif case == "unknown-config-key":
+            meta["config"]["no_such_key"] = 1
+        else:
+            arrays["first0"] = np.zeros(3)
+        arrayio.save_bundle(path, "lite-model", meta, arrays)
+        with pytest.raises(CheckpointError, match="bad.ckpt"):
+            load_model(path)
+
     def test_truncation_detected(self, arch, tmp_path):
         path = tmp_path / "model.ckpt"
         save_model(init_model(arch, 2, 0), path)

@@ -467,6 +467,30 @@ class TestCosineSimilarityMatrix:
         gradcheck(lambda: T.sum_all(T.absolute(T.cosine_similarity_matrix(a, b))),
                   [a, b], rng)
 
+    def test_different_channel_counts_match_square_blocks(self, rng):
+        a = rng.normal(size=(2, 3, 5))
+        b = rng.normal(size=(2, 6, 5))
+        wide = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b)).data
+        assert wide.shape == (2, 3, 6)
+        for j in (0, 3):
+            square = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b[:, j:j + 3])).data
+            np.testing.assert_allclose(wide[:, :, j:j + 3], square, rtol=0, atol=1e-12)
+        rank2 = T.cosine_similarity_matrix(T.Tensor(b[1]), T.Tensor(a[1])).data
+        np.testing.assert_allclose(rank2, wide[1].T, rtol=0, atol=1e-12)
+
+    def test_gradients_with_different_channel_counts(self, rng):
+        for sa, sb in (((2, 3, 5), (2, 6, 5)), ((4, 5), (2, 5))):
+            a = T.Tensor(rng.normal(size=sa), requires_grad=True)
+            b = T.Tensor(rng.normal(size=sb), requires_grad=True)
+            gradcheck(lambda: T.sum_all(T.absolute(T.cosine_similarity_matrix(a, b))),
+                      [a, b], rng)
+
+    def test_batch_or_time_mismatch(self, rng):
+        a = T.Tensor(rng.normal(size=(2, 3, 5)))
+        for shape in ((3, 3, 5), (2, 6, 4), (3, 5)):
+            with pytest.raises(ShapeError):
+                T.cosine_similarity_matrix(a, T.Tensor(rng.normal(size=shape)))
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             T.cosine_similarity_matrix(T.Tensor(rng.normal(size=(2, 3))),

@@ -9,6 +9,7 @@ import pytest
 from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
 from decolite.model import LiteArchitectureConfig, LiteModel, init_model, model_checksum
+from decolite.tensor import Tensor, backward
 from decolite.training import (TrainConfig, build_ensemble, orthogonality_loss,
                                sequential_orthogonality_loss, total_loss, train_base,
                                train_decorrelated)
@@ -74,13 +75,6 @@ class TestOrthogonalityLoss:
         mean = orthogonality_loss(a, b, mode="mean").item()
         np.testing.assert_allclose(mean, raw / (5 * 4), rtol=1e-12)
 
-    def test_include_diagonal_switch(self, rng):
-        a = rng.normal(size=(1, 3, 4))
-        with_diag = orthogonality_loss(a, a, mode="raw", include_diagonal=True).item()
-        without = orthogonality_loss(a, a, mode="raw").item()
-        # the diagonal of a self-similarity matrix contributes C ones
-        np.testing.assert_allclose(with_diag - without, 3.0, atol=1e-9)
-
     def test_shape_checks(self, rng):
         with pytest.raises(ShapeError):
             orthogonality_loss(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5)))
@@ -107,10 +101,34 @@ class TestSequentialLoss:
 
     def test_arithmetic_mean(self, rng):
         f = rng.normal(size=(1, 3, 6))
-        gs = [rng.normal(size=(1, 3, 6)) for _ in range(2)]
-        parts = [orthogonality_loss(f, g).item() for g in gs]
-        got = sequential_orthogonality_loss(f, gs).item()
-        np.testing.assert_allclose(got, np.mean(parts), rtol=1e-12)
+        for p in (2, 3, 4):
+            gs = [rng.normal(size=(1, 3, 6)) for _ in range(p)]
+            for mode in ("mean", "raw"):
+                parts = [orthogonality_loss(f, g, mode).item() for g in gs]
+                got = sequential_orthogonality_loss(f, gs, mode).item()
+                np.testing.assert_allclose(got, np.mean(parts), rtol=1e-12)
+
+    def test_one_similarity_op_for_any_predecessor_count(self, rng):
+        sizes = []
+        for p in (1, 4):
+            f = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+            loss = sequential_orthogonality_loss(f, [rng.normal(size=(2, 3, 5))
+                                                     for _ in range(p)])
+            nodes, stack = {}, [loss]
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and id(node) not in nodes:
+                    nodes[id(node)] = node._backward.__qualname__
+                    stack.extend(node._parents)
+            assert sum(q.startswith("cosine_similarity_matrix.") for q in nodes.values()) == 1
+            sizes.append(len(nodes))
+        assert sizes[0] == sizes[1]
+
+    def test_predecessors_get_no_gradient(self, rng):
+        f = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        g = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        backward(sequential_orthogonality_loss(f, [g, rng.normal(size=(2, 3, 5))]))
+        assert f.grad is not None and g.grad is None
 
     def test_empty_list_rejected(self, rng):
         with pytest.raises(UsageError):
