@@ -19,8 +19,10 @@ Size-s ensembles reuse the first s members of each chain. Outputs:
   failures.csv         every skipped dataset with its error (header only
                        when none failed)
 
-Checkpoints land under <out>/models/ and are reused on restart, so the
-script is resumable; an unreadable checkpoint is retrained and replaced.
+Members land in <out>/models/<dataset>/run<k>/{base0..4,deco1..4}/ with
+checkpoint_best.ckpt, checkpoint_last.ckpt and train_log.csv. A rerun reloads
+a member only if its checkpoint records the same training config (seed
+included); the others, and the old single-file layout, are retrained.
 """
 
 import argparse
@@ -28,7 +30,6 @@ import csv
 import io
 import sys
 import traceback
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,28 +37,11 @@ import numpy as np
 from decolite.arrayio import write_atomic, write_json
 from decolite.data import load_dataset, resolve_data_root
 from decolite.diversity import feature_statistics, fid
-from decolite.errors import CheckpointError
-from decolite.evaluation import (ResultsTable, _member_probs, _sorted_mean, accuracy,
-                                 format_p_value, mcm, wilcoxon_signed_rank)
-from decolite.model import load_model, save_model
-from decolite.training import TrainConfig, train_base, train_decorrelated
+from decolite.evaluation import (ResultsTable, format_p_value, mcm, prefix_accuracies,
+                                 wilcoxon_signed_rank)
+from decolite.training import TrainConfig, build_ensemble
 
 SIZES = (2, 3, 4, 5)
-
-
-def _train_or_load(path, kind, ds, cfg, prev, feature_cache=None):
-    # A deco chain passes one feature_cache list to all its members, so each
-    # member, trained or loaded, is forwarded over the training set once.
-    if path.is_file():
-        try:
-            return load_model(path)
-        except CheckpointError as exc:
-            print(f"  retraining: {exc}", file=sys.stderr)
-    model, _ = (train_base(ds, cfg) if kind == "base"
-                else train_decorrelated(ds, cfg, prev, feature_cache=feature_cache))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, path)
-    return model
 
 
 def run_dataset(name, root, out, cfg, n_runs):
@@ -66,26 +50,16 @@ def run_dataset(name, root, out, cfg, n_runs):
     fid_plain, fid_deco = [], []
     for run in range(n_runs):
         seeds = [run * 100 + k for k in range(5)]
-        base_models, deco_models, feature_cache = [], [], []
-        for i, seed in enumerate(seeds):
-            run_cfg = replace(cfg, seed=seed)
-            mdir = out / "models" / name / f"run{run}"
-            base_models.append(_train_or_load(mdir / f"base{i}.ckpt", "base",
-                                              train_ds, run_cfg, None))
-            if i == 0:
-                deco_models.append(base_models[0])  # shared reference
-            else:
-                deco_models.append(_train_or_load(mdir / f"deco{i}.ckpt", "deco",
-                                                  train_ds, run_cfg, deco_models,
-                                                  feature_cache))
+        mdir = out / "models" / name / f"run{run}"
+        base_models = build_ensemble(train_ds, cfg, 5, "base", seeds=seeds,
+                                     out_dirs=[mdir / f"base{i}" for i in range(5)]).models
+        # The chain's reference is base member 0, reloaded from its directory.
+        deco_models = build_ensemble(
+            train_ds, cfg, 5, "deco", seeds=seeds,
+            out_dirs=[mdir / "base0"] + [mdir / f"deco{i}" for i in range(1, 5)]).models
         for prefix, chain in (("", base_models), ("Deco-", deco_models)):
-            # One forward per member; each size scores a prefix of these
-            # outputs, with the same sorted mean as ensemble_predict.
-            member_probs = _member_probs(chain, test_ds.X)
-            for s in SIZES:
-                probs = _sorted_mean(member_probs[:s].copy())
-                acc[f"{prefix}LITETime-{s}"].append(
-                    accuracy(probs.argmax(axis=1), test_ds.y))
+            for s, a in zip(SIZES, prefix_accuracies(chain, test_ds)[1:]):
+                acc[f"{prefix}LITETime-{s}"].append(a)
         ref_stats = feature_statistics(base_models[0], test_ds.X, "ref")
         fid_plain.append(fid(ref_stats, feature_statistics(base_models[1], test_ds.X, "b")))
         fid_deco.append(fid(ref_stats, feature_statistics(deco_models[1], test_ds.X, "d")))
@@ -136,9 +110,7 @@ def main(argv=None):
         print(f"  best {best} = {accs[best]:.4f}")
 
     failures_csv = io.StringIO()
-    writer = csv.writer(failures_csv)
-    writer.writerow(["dataset", "error"])
-    writer.writerows(failures)
+    csv.writer(failures_csv).writerows([["dataset", "error"], *failures])
     write_atomic(out / "failures.csv", failures_csv.getvalue().encode("utf-8"))
     if not rows:
         ap.exit(1, f"no dataset finished; see {out / 'failures.csv'}\n")

@@ -154,7 +154,6 @@ def _cmd_train(args, file_cfg) -> int:
     metrics = {"dataset": dataset, "models": []}
     for seed in seeds:
         seed_dir = run_root / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         model, log = train_base(train_ds, replace(cfg, seed=seed), out_dir=seed_dir)
         ens_acc, _ = ensemble_accuracy([model], test_ds)
         train_acc, _ = ensemble_accuracy([model], train_ds)
@@ -189,11 +188,7 @@ def _cmd_ensemble(args, file_cfg) -> int:
     train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
 
     run_root = out / dataset / f"{kind}-{size}"
-    seed_dirs = []
-    for seed in seeds:
-        d = run_root / f"seed{seed}"
-        d.mkdir(parents=True, exist_ok=True)
-        seed_dirs.append(d)
+    seed_dirs = [run_root / f"seed{seed}" for seed in seeds]
     build = build_ensemble(train_ds, cfg, size, kind, seeds=seeds, out_dirs=seed_dirs)
 
     ens_acc, member_acc = ensemble_accuracy(build.models, test_ds)
@@ -208,10 +203,8 @@ def _cmd_ensemble(args, file_cfg) -> int:
     }
     metrics_path = run_root / "metrics.json"
     write_json(metrics_path, metrics)
-    artifacts = [metrics_path]
-    for d in seed_dirs:
-        artifacts += [d / "checkpoint_best.ckpt", d / "checkpoint_last.ckpt",
-                      d / "train_log.csv"]
+    artifacts = [metrics_path] + [d / f for d in seed_dirs for f in (
+        "checkpoint_best.ckpt", "checkpoint_last.ckpt", "train_log.csv")]
     _append_manifest(run_root, _manifest_record(
         "ensemble", run_root, artifacts, started, clock, dataset=dataset, kind=kind,
         size=size, seeds=seeds, config=asdict(cfg)))

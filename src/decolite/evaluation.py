@@ -22,6 +22,7 @@ from .model import LiteModel, _eval_chunks
 __all__ = [
     "ensemble_predict",
     "ensemble_accuracy",
+    "prefix_accuracies",
     "accuracy",
     "wilcoxon_signed_rank",
     "WilcoxonResult",
@@ -81,6 +82,13 @@ def accuracy(predicted: np.ndarray, true: np.ndarray) -> float:
     return float((predicted == true).mean())
 
 
+def _split_probs(models: list[LiteModel], ds: TimeSeriesDataset) -> np.ndarray:
+    if models and models[0].n_classes != ds.n_classes:
+        raise ConfigError(f"members were trained for {models[0].n_classes} classes, "
+                          f"{ds.name} has {ds.n_classes}")
+    return _member_probs(models, ds.X)
+
+
 def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
     """(ensemble accuracy, per-member accuracies) on one dataset split.
 
@@ -89,13 +97,18 @@ def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
     builds it. Members trained for another class count than the split's
     are a :class:`ConfigError`.
     """
-    if models and models[0].n_classes != ds.n_classes:
-        raise ConfigError(f"members were trained for {models[0].n_classes} classes, "
-                          f"{ds.name} has {ds.n_classes}")
-    stacked = _member_probs(models, ds.X)
+    stacked = _split_probs(models, ds)
     members = [accuracy(p.argmax(axis=1), ds.y) for p in stacked]
     ens = accuracy(_sorted_mean(stacked).argmax(axis=1), ds.y)
     return ens, members
+
+
+def prefix_accuracies(models: list[LiteModel], ds: TimeSeriesDataset) -> list[float]:
+    """Accuracies on ``ds`` of the ensembles ``models[:1]``, ``models[:2]``, ...:
+    one forward per member, each mean built exactly as by :func:`ensemble_predict`."""
+    stacked = _split_probs(models, ds)
+    return [accuracy(_sorted_mean(stacked[:k].copy()).argmax(axis=1), ds.y)
+            for k in range(1, len(models) + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ import numpy as np
 
 from .arrayio import write_text
 from .data import TimeSeriesDataset, batch_indices
-from .errors import ConfigError, NumericError, ShapeError, UsageError
-from .model import LiteArchitectureConfig, LiteModel, _eval_chunks, init_model, save_model
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, UsageError
+from .model import (LiteArchitectureConfig, LiteModel, _eval_chunks, init_model, load_model,
+                    save_model)
 from .optim import Adam, ReduceLROnPlateau
 from .tensor import (Tensor, absolute, as_tensor, backward, cosine_similarity_matrix,
                      softmax_cross_entropy, sum_all)
@@ -254,7 +255,11 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
                 prev_models: list[LiteModel], out_dir=None, feature_cache=None):
     config.validate()
-    out_dir = Path(out_dir) if out_dir is not None else None
+    if out_dir is not None:
+        # The best checkpoint, written last, marks a finished member.
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "checkpoint_best.ckpt").unlink(missing_ok=True)
     cached = None
     if prev_models:
         _check_feature_compat(model, prev_models)
@@ -293,11 +298,11 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         sched.step(epoch_total)
 
     if out_dir is not None:
-        save_model(model, out_dir / "checkpoint_last.ckpt")
+        save_model(model, out_dir / "checkpoint_last.ckpt", asdict(config))
+        log.to_csv(out_dir / "train_log.csv")
     model.load_state_arrays(best_state)
     if out_dir is not None:
-        save_model(model, out_dir / "checkpoint_best.ckpt")
-        log.to_csv(out_dir / "train_log.csv")
+        save_model(model, out_dir / "checkpoint_best.ckpt", asdict(config))
     return model, log
 
 
@@ -315,30 +320,38 @@ def train_base(ds: TimeSeriesDataset, config: TrainConfig,
 
 def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
                        prev_models: list[LiteModel],
-                       arch: LiteArchitectureConfig | None = None, out_dir=None,
-                       feature_cache: list[np.ndarray] | None = None):
+                       arch: LiteArchitectureConfig | None = None, out_dir=None):
     """Train one model whose features are pushed orthogonal to earlier models.
 
     ``prev_models`` stay frozen: their features are computed in eval mode
     with no gradient and their parameters are untouched. The new model is
     seeded from ``config.seed``, which callers pair with the seed of the
     corresponding plain model so that both start bit-identical.
-
-    Callers that train a chain member by member pass one ``feature_cache``
-    list for the whole chain, so each member's training-set features are
-    computed once (see ``_frozen_features``); None computes them afresh.
     """
     if not prev_models:
         raise UsageError("decorrelated training requires at least one previous model")
     arch = arch or prev_models[0].config
     model = init_model(arch, ds.n_classes, config.seed)
-    return _train_loop(ds, config, model, list(prev_models), out_dir, feature_cache)
+    return _train_loop(ds, config, model, list(prev_models), out_dir)
+
+
+def _reusable(out_dir, config: TrainConfig, arch: LiteArchitectureConfig, n_classes: int):
+    """The finished member in ``out_dir`` if ``config`` trained it for ``arch``
+    and ``n_classes``, else None."""
+    path = Path(out_dir) / "checkpoint_best.ckpt" if out_dir is not None else None
+    if path is None or not path.is_file():
+        return None
+    try:
+        model = load_model(path, asdict(config))
+    except CheckpointError:
+        return None
+    return model if (model.config, model.n_classes) == (arch, n_classes) else None
 
 
 @dataclass
 class EnsembleBuild:
     models: list[LiteModel]
-    logs: list[TrainLog]
+    logs: list[TrainLog | None]
     metadata: dict
 
 
@@ -350,9 +363,13 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     "base" trains every member independently with cross-entropy, one seed
     per member. "deco" trains the first seed's member with cross-entropy
     as the fixed reference, then each further member sequentially with the
-    orthogonality penalty against all members trained before it. Each
-    member's training-set features are computed once, when the member
-    after it starts, and kept for the rest of the chain.
+    orthogonality penalty against all members before it. Each member's
+    training-set features are computed once, when the member after it
+    starts, and kept for the rest of the chain.
+
+    A member whose out_dir holds a readable ``checkpoint_best.ckpt`` of the
+    same config (seed included), architecture and class count is loaded,
+    with None for its log; any other member is trained into its out_dir.
     """
     if kind not in ("base", "deco"):
         raise ConfigError(f"ensemble kind must be 'base' or 'deco', got {kind!r}")
@@ -367,23 +384,22 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     if out_dirs is not None and len(out_dirs) != size:
         raise ConfigError("out_dirs must name one directory per member")
 
+    arch = arch or LiteArchitectureConfig()
     models: list[LiteModel] = []
-    logs: list[TrainLog] = []
+    logs: list[TrainLog | None] = []
     feature_cache: list[np.ndarray] = []
-    for i, seed in enumerate(seeds):
+    for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
-        out_dir = out_dirs[i] if out_dirs is not None else None
-        if kind == "base" or i == 0:
-            model, log = train_base(ds, member_cfg, arch, out_dir)
-        else:
-            model, log = train_decorrelated(ds, member_cfg, models, arch, out_dir,
-                                            feature_cache)
+        model, log = _reusable(out_dir, member_cfg, arch, ds.n_classes), None
+        if model is None:
+            model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
+                                     models.copy() if kind == "deco" else [], out_dir,
+                                     feature_cache)
         models.append(model)
         logs.append(log)
 
-    name = f"{'Deco-' if kind == 'deco' else ''}LITETime-{size}"
     metadata = {
-        "name": name,
+        "name": f"{'Deco-' if kind == 'deco' else ''}LITETime-{size}",
         "dataset": ds.name,
         "kind": kind,
         "size": size,

@@ -1,5 +1,6 @@
 """Resume and failure reporting of scripts/run_full_benchmark.py."""
 
+import ast
 import csv
 import importlib.util
 from dataclasses import replace
@@ -8,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decolite import training
 from decolite.data import load_dataset, synthetic_trend_dataset
 from decolite.evaluation import accuracy, ensemble_predict
 from decolite.model import LiteModel, load_model, model_checksum
-from decolite.training import TrainConfig, train_decorrelated
+from decolite.training import TrainConfig, build_ensemble, train_decorrelated
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_benchmark.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "run_full_benchmark.py"
 
 
 @pytest.fixture(scope="module")
@@ -36,30 +39,57 @@ def _failures(out):
         return list(csv.reader(fh))
 
 
+def _count_training(monkeypatch):
+    calls = []
+    real_loop = training._train_loop
+
+    def counting_loop(*args, **kwargs):
+        calls.append(args)
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_train_loop", counting_loop)
+    return calls
+
+
 class TestResume:
-    def test_truncated_checkpoint_is_retrained(self, script, tmp_path, monkeypatch):
+    def test_truncated_checkpoint_is_retrained(self, tmp_path, monkeypatch):
         ds = synthetic_trend_dataset(n=8, length=16)
         cfg = TrainConfig(epochs=1, batch_size=8)
-        path = tmp_path / "models" / "base0.ckpt"
-        first = script._train_or_load(path, "base", ds, cfg, None)
+        out_dirs = [tmp_path / "models" / f"base{i}" for i in range(2)]
+        first = build_ensemble(ds, cfg, 2, "base", out_dirs=out_dirs).models[0]
+        path = out_dirs[0] / "checkpoint_best.ckpt"
         path.write_bytes(path.read_bytes()[:100])
 
-        calls = []
-        real_train = script.train_base
-
-        def counting_train(*args, **kwargs):
-            calls.append(args)
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(script, "train_base", counting_train)
-        again = script._train_or_load(path, "base", ds, cfg, None)
+        calls = _count_training(monkeypatch)
+        again = build_ensemble(ds, cfg, 2, "base", out_dirs=out_dirs).models[0]
         assert len(calls) == 1
         assert model_checksum(again) == model_checksum(first)
         assert model_checksum(load_model(path)) == model_checksum(first)
 
         # an intact checkpoint is loaded, not retrained
-        script._train_or_load(path, "base", ds, cfg, None)
+        build_ensemble(ds, cfg, 2, "base", out_dirs=out_dirs)
         assert len(calls) == 1
+
+    def test_changed_config_retrains_every_member(self, script, tmp_path, monkeypatch):
+        root = tmp_path / "archive"
+        _write_ucr(root / "Good" / "Good_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
+        _write_ucr(root / "Good" / "Good_TEST.tsv",
+                   synthetic_trend_dataset(n=6, length=16, split="test"))
+        out = tmp_path / "out"
+        base = ["--data-root", str(root), "--out", str(out), "--datasets", "Good",
+                "--runs", "1"]
+        mdir = out / "models" / "Good" / "run0"
+        names = [f"base{i}" for i in range(5)] + [f"deco{i}" for i in range(1, 5)]
+
+        script.main(base + ["--epochs", "1"])
+        before = {n: model_checksum(load_model(mdir / n / "checkpoint_best.ckpt"))
+                  for n in names}
+        calls = _count_training(monkeypatch)
+        script.main(base + ["--epochs", "30", "--alpha", "0.9"])
+        assert len(calls) == len(names)
+        for n in names:
+            assert model_checksum(load_model(mdir / n / "checkpoint_best.ckpt")) != before[n]
+            assert len((mdir / n / "train_log.csv").read_text().splitlines()) == 1 + 30
 
 
 class TestFailureReport:
@@ -117,8 +147,9 @@ class TestScoring:
         assert len(test_forwards) == 2 * 5 + 3
 
         mdir = out / "models" / "Good" / "run0"
-        base = [load_model(mdir / f"base{i}.ckpt") for i in range(5)]
-        deco = base[:1] + [load_model(mdir / f"deco{i}.ckpt") for i in range(1, 5)]
+        base = [load_model(mdir / f"base{i}" / "checkpoint_best.ckpt") for i in range(5)]
+        deco = base[:1] + [load_model(mdir / f"deco{i}" / "checkpoint_best.ckpt")
+                           for i in range(1, 5)]
         for s in script.SIZES:
             for prefix, chain in (("", base), ("Deco-", deco)):
                 probs = ensemble_predict(chain[:s], test.X)
@@ -149,16 +180,41 @@ class TestScoring:
 
         mdir = out / "models" / "Good" / "run0"
         ds, _ = load_dataset(root, "Good")
-        chain = [load_model(mdir / "base0.ckpt")]
+        chain = [load_model(mdir / "base0" / "checkpoint_best.ckpt")]
         for i in range(1, 5):
             member, _ = train_decorrelated(ds, replace(cfg, seed=i), chain)
-            assert model_checksum(load_model(mdir / f"deco{i}.ckpt")) == model_checksum(member)
+            assert model_checksum(load_model(mdir / f"deco{i}" / "checkpoint_best.ckpt")) \
+                == model_checksum(member)
             chain.append(member)
 
         # A rerun over a missing middle checkpoint retrains it against loaded
         # predecessors, forwarding each of them once.
-        (mdir / "deco3.ckpt").unlink()
+        (mdir / "deco3" / "checkpoint_best.ckpt").unlink()
         del train_forwards[:]
         script.run_dataset("Good", root, out, cfg, 1)
         assert len(train_forwards) == 3
-        assert model_checksum(load_model(mdir / "deco3.ckpt")) == model_checksum(chain[3])
+        assert model_checksum(load_model(mdir / "deco3" / "checkpoint_best.ckpt")) \
+            == model_checksum(chain[3])
+
+
+def test_scripts_use_no_private_decolite_name():
+    # Every name a script takes from decolite, and every attribute it reads
+    # off one, must be public.
+    for path in sorted(SCRIPTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("decolite"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{path.name}:{node.lineno} imports {private}"
+                bound.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                bound.update(a.asname or a.name.split(".")[0] for a in node.names
+                             if a.name.split(".")[0] == "decolite")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                assert not (isinstance(root, ast.Name) and root.id in bound), \
+                    f"{path.name}:{node.lineno} reads private attribute {node.attr}"

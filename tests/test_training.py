@@ -8,9 +8,10 @@ import pytest
 
 from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
-from decolite.model import LiteArchitectureConfig, LiteModel, init_model, model_checksum
+from decolite.model import (LiteArchitectureConfig, LiteModel, init_model, model_checksum,
+                            save_model)
 from decolite.tensor import Tensor, backward
-from decolite.training import (TrainConfig, build_ensemble, orthogonality_loss,
+from decolite.training import (TrainConfig, TrainLog, build_ensemble, orthogonality_loss,
                                sequential_orthogonality_loss, total_loss, train_base,
                                train_decorrelated)
 
@@ -405,6 +406,44 @@ class TestBuildEnsemble:
         build = build_ensemble(ds, cfg, size=4, kind="deco")
         assert [model_checksum(m) for m in build.models] == \
             [model_checksum(m) for m in chain]
+
+    def test_changed_or_unrecorded_config_retrains(self, tmp_path):
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / f"member{i}" for i in range(3)]
+        first = build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", out_dirs=dirs)
+        again = build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", out_dirs=dirs)
+        assert again.logs == [None] * 3
+        assert [model_checksum(m) for m in again.models] == \
+            [model_checksum(m) for m in first.models]
+
+        changed = build_ensemble(ds, _quick(epochs=3), size=3, kind="deco", out_dirs=dirs)
+        assert [len(log.records) for log in changed.logs] == [3, 3, 3]
+        fresh = build_ensemble(ds, _quick(epochs=3), size=3, kind="deco")
+        assert [model_checksum(m) for m in changed.models] == \
+            [model_checksum(m) for m in fresh.models]
+
+        # a checkpoint that records no training config is retrained
+        save_model(changed.models[1], dirs[1] / "checkpoint_best.ckpt")
+        rerun = build_ensemble(ds, _quick(epochs=3), size=3, kind="deco", out_dirs=dirs)
+        assert [log is not None for log in rerun.logs] == [False, True, False]
+
+    def test_crash_before_the_log_leaves_no_best_checkpoint(self, tmp_path, monkeypatch):
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / "member0", tmp_path / "member1"]
+        build_ensemble(ds, _quick(epochs=2), size=2, kind="base", out_dirs=dirs)
+
+        def failing_to_csv(self, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(TrainLog, "to_csv", failing_to_csv)
+        with pytest.raises(OSError, match="disk full"):
+            build_ensemble(ds, _quick(epochs=3), size=2, kind="base", out_dirs=dirs)
+        assert not (dirs[0] / "checkpoint_best.ckpt").exists()
+
+        monkeypatch.undo()
+        rerun = build_ensemble(ds, _quick(epochs=3), size=2, kind="base", out_dirs=dirs)
+        assert len(rerun.logs[0].records) == 3
+        assert (dirs[0] / "checkpoint_best.ckpt").is_file()
 
     def test_size_outside_range_warns_but_runs(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
