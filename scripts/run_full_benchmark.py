@@ -22,7 +22,8 @@ Size-s ensembles reuse the first s members of each chain. Outputs:
 Members land in <out>/models/<dataset>/run<k>/{base0..4,deco1..4}/ with
 checkpoint_best.ckpt, checkpoint_last.ckpt and train_log.csv. A rerun reloads
 a member only if its checkpoint records the same training config (seed
-included); the others, and the old single-file layout, are retrained.
+included), training data and predecessors (see build_ensemble); the others,
+and the old single-file layout, are retrained.
 """
 
 import argparse
@@ -110,7 +111,9 @@ def main(argv=None):
         print(f"  best {best} = {accs[best]:.4f}")
 
     failures_csv = io.StringIO()
-    csv.writer(failures_csv).writerows([["dataset", "error"], *failures])
+    writer = csv.writer(failures_csv)
+    writer.writerow(["dataset", "error"])
+    writer.writerows(failures)
     write_atomic(out / "failures.csv", failures_csv.getvalue().encode("utf-8"))
     if not rows:
         ap.exit(1, f"no dataset finished; see {out / 'failures.csv'}\n")

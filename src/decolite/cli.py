@@ -203,8 +203,10 @@ def _cmd_ensemble(args, file_cfg) -> int:
     }
     metrics_path = run_root / "metrics.json"
     write_json(metrics_path, metrics)
-    artifacts = [metrics_path] + [d / f for d in seed_dirs for f in (
-        "checkpoint_best.ckpt", "checkpoint_last.ckpt", "train_log.csv")]
+    artifacts = [metrics_path]
+    for d in seed_dirs:
+        artifacts += [d / "checkpoint_best.ckpt", d / "checkpoint_last.ckpt",
+                      d / "train_log.csv"]
     _append_manifest(run_root, _manifest_record(
         "ensemble", run_root, artifacts, started, clock, dataset=dataset, kind=kind,
         size=size, seeds=seeds, config=asdict(cfg)))

@@ -341,30 +341,30 @@ def model_checksum(model: LiteModel) -> str:
     return arrays_checksum(model.state_arrays())
 
 
-def save_model(model: LiteModel, path, train_config: dict | None = None) -> None:
-    """Write a versioned checkpoint recording ``train_config`` (a dict of
-    the training config, or None); round trips are bit-exact."""
+def save_model(model: LiteModel, path, train_record: dict | None = None) -> None:
+    """Write a versioned checkpoint recording ``train_record`` (a dict of
+    what trained the model, or None); round trips are bit-exact."""
     meta = {
         "config": asdict(model.config),
         "n_classes": model.n_classes,
         "seed": model.seed,
-        "train_config": train_config,
+        "train_record": train_record,
     }
     save_bundle(path, "lite-model", meta, model.state_arrays())
 
 
-def load_model(path, train_config: dict | None = None) -> LiteModel:
+def load_model(path, train_record: dict | None = None) -> LiteModel:
     """Read a checkpoint written by :func:`save_model`.
 
     A bundle whose metadata does not describe a LITE model, or whose arrays
     do not fit the architecture it names, is a :class:`CheckpointError`
     naming ``path``, like a corrupt file; so is one not recording exactly
-    ``train_config``, when that is given.
+    ``train_record``, when that is given.
     """
     _, meta, arrays = load_bundle(path, expected_kind="lite-model")
-    if train_config is not None and meta.get("train_config") != train_config:
-        raise CheckpointError(f"{path}: trained with {meta.get('train_config')}, "
-                              f"not {train_config}")
+    if train_record is not None and meta.get("train_record") != train_record:
+        raise CheckpointError(f"{path}: trained with {meta.get('train_record')}, "
+                              f"not {train_record}")
     try:
         raw = dict(meta["config"])
         for key in ("first_layer_kernel_sizes", "dwsc_kernel_sizes", "dwsc_dilations",

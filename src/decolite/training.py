@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import write_text
+from .arrayio import arrays_checksum, write_text
 from .data import TimeSeriesDataset, batch_indices
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, UsageError
 from .model import (LiteArchitectureConfig, LiteModel, _eval_chunks, init_model, load_model,
-                    save_model)
+                    model_checksum, save_model)
 from .optim import Adam, ReduceLROnPlateau
 from .tensor import (Tensor, absolute, as_tensor, backward, cosine_similarity_matrix,
                      softmax_cross_entropy, sum_all)
@@ -298,12 +298,26 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         sched.step(epoch_total)
 
     if out_dir is not None:
-        save_model(model, out_dir / "checkpoint_last.ckpt", asdict(config))
+        record = _train_record(ds, config, prev_models)
+        save_model(model, out_dir / "checkpoint_last.ckpt", record)
         log.to_csv(out_dir / "train_log.csv")
     model.load_state_arrays(best_state)
     if out_dir is not None:
-        save_model(model, out_dir / "checkpoint_best.ckpt", asdict(config))
+        save_model(model, out_dir / "checkpoint_best.ckpt", record)
     return model, log
+
+
+def _train_record(ds: TimeSeriesDataset, config: TrainConfig,
+                  prev_models: list[LiteModel]) -> dict:
+    """What a member's training depends on: its config, its training data
+    and its frozen predecessors in order. Without predecessors ``alpha``
+    and ``orth_normalization`` are unused, so they are recorded at their
+    defaults."""
+    if not prev_models:
+        config = replace(config, alpha=TrainConfig.alpha,
+                         orth_normalization=TrainConfig.orth_normalization)
+    return {"config": asdict(config), "data": arrays_checksum({"X": ds.X, "y": ds.y}),
+            "predecessors": [model_checksum(p) for p in prev_models]}
 
 
 def train_base(ds: TimeSeriesDataset, config: TrainConfig,
@@ -335,17 +349,18 @@ def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
     return _train_loop(ds, config, model, list(prev_models), out_dir)
 
 
-def _reusable(out_dir, config: TrainConfig, arch: LiteArchitectureConfig, n_classes: int):
-    """The finished member in ``out_dir`` if ``config`` trained it for ``arch``
-    and ``n_classes``, else None."""
+def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
+              prev_models: list[LiteModel], arch: LiteArchitectureConfig):
+    """The finished member in ``out_dir`` if it records the training record
+    this member would get and fits ``arch`` and ``ds``, else None."""
     path = Path(out_dir) / "checkpoint_best.ckpt" if out_dir is not None else None
     if path is None or not path.is_file():
         return None
     try:
-        model = load_model(path, asdict(config))
+        model = load_model(path, _train_record(ds, config, prev_models))
     except CheckpointError:
         return None
-    return model if (model.config, model.n_classes) == (arch, n_classes) else None
+    return model if (model.config, model.n_classes) == (arch, ds.n_classes) else None
 
 
 @dataclass
@@ -367,9 +382,13 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     training-set features are computed once, when the member after it
     starts, and kept for the rest of the chain.
 
-    A member whose out_dir holds a readable ``checkpoint_best.ckpt`` of the
-    same config (seed included), architecture and class count is loaded,
-    with None for its log; any other member is trained into its out_dir.
+    A member whose out_dir holds a readable ``checkpoint_best.ckpt`` is
+    loaded, with None for its log, when the checkpoint fits the
+    architecture and class count and records the same config (seed
+    included), training data and predecessors (their ``model_checksum``s,
+    in chain order); a member without predecessors ignores ``alpha`` and
+    ``orth_normalization`` there. Any other member is trained into its
+    out_dir, so a changed member retrains every later member of a chain.
     """
     if kind not in ("base", "deco"):
         raise ConfigError(f"ensemble kind must be 'base' or 'deco', got {kind!r}")
@@ -390,16 +409,17 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     feature_cache: list[np.ndarray] = []
     for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
-        model, log = _reusable(out_dir, member_cfg, arch, ds.n_classes), None
+        prev = models.copy() if kind == "deco" else []
+        model, log = _reusable(out_dir, ds, member_cfg, prev, arch), None
         if model is None:
             model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
-                                     models.copy() if kind == "deco" else [], out_dir,
-                                     feature_cache)
+                                     prev, out_dir, feature_cache)
         models.append(model)
         logs.append(log)
 
+    name = f"{'Deco-' if kind == 'deco' else ''}LITETime-{size}"
     metadata = {
-        "name": f"{'Deco-' if kind == 'deco' else ''}LITETime-{size}",
+        "name": name,
         "dataset": ds.name,
         "kind": kind,
         "size": size,

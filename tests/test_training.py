@@ -427,6 +427,37 @@ class TestBuildEnsemble:
         rerun = build_ensemble(ds, _quick(epochs=3), size=3, kind="deco", out_dirs=dirs)
         assert [log is not None for log in rerun.logs] == [False, True, False]
 
+    def test_changed_predecessors_retrain_the_rest_of_the_chain(self, tmp_path):
+        # Directories keyed by seed, as `decolite ensemble` keys them.
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", seeds=[0, 1, 2],
+                       out_dirs=[tmp_path / f"seed{s}" for s in (0, 1, 2)])
+        # a new reference, then a deco member moved to the reference's place
+        for seeds in ([3, 1, 2], [1, 0, 2]):
+            dirs = [tmp_path / f"seed{s}" for s in seeds]
+            rebuilt = build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", seeds=seeds,
+                                     out_dirs=dirs)
+            assert all(log is not None for log in rebuilt.logs)
+            fresh = build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", seeds=seeds)
+            assert [model_checksum(m) for m in rebuilt.models] == \
+                [model_checksum(m) for m in fresh.models]
+        again = build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", seeds=[1, 0, 2],
+                               out_dirs=dirs)
+        assert again.logs == [None] * 3
+
+    def test_alpha_only_retrains_members_with_predecessors_and_data_retrains_all(
+            self, tmp_path):
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / f"member{i}" for i in range(3)]
+        build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", out_dirs=dirs)
+        cfg = _quick(epochs=2, alpha=0.9, orth_normalization="raw")
+        rebuilt = build_ensemble(ds, cfg, size=3, kind="deco", out_dirs=dirs)
+        assert [log is not None for log in rebuilt.logs] == [False, True, True]
+
+        other = synthetic_trend_dataset(n=16, length=16, seed=5)
+        moved = build_ensemble(other, cfg, size=3, kind="deco", out_dirs=dirs)
+        assert all(log is not None for log in moved.logs)
+
     def test_crash_before_the_log_leaves_no_best_checkpoint(self, tmp_path, monkeypatch):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
         dirs = [tmp_path / "member0", tmp_path / "member1"]
