@@ -17,6 +17,7 @@ policy. Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field, replace, asdict
@@ -45,11 +46,6 @@ __all__ = [
     "build_ensemble",
     "EnsembleBuild",
 ]
-
-# Above this many bytes, counted over every frozen predecessor of the model
-# in training, their training-set features are not cached but recomputed
-# per batch.
-_FEATURE_CACHE_LIMIT = 1_500_000_000
 
 
 @dataclass(frozen=True)
@@ -127,12 +123,14 @@ def sequential_orthogonality_loss(features_new, prev_features: list, mode: str =
                                   eps: float = 1e-8) -> Tensor:
     """Feature-orthogonality penalty of a (B, C, T) map against P earlier ones.
 
-    The P (B, C, T) predecessor maps are stacked on the channel axis into
-    one constant, which gets no gradient, and one cosine-similarity op
-    gives the (B, C, P*C) similarities of the new channel rows against all
-    of theirs. The absolute values of the distinct-pair entries (i != j
-    within each predecessor's block) are summed and divided by B*P ("raw")
-    or by B*P*C*(C-1) ("mean", also averaging over the pairs). Always
+    Each entry of ``prev_features`` holds k >= 1 predecessor maps stacked
+    on the channel axis, as (B, k*C, T); the entries are stacked further
+    into one constant (a lone entry is used as it is), which gets no
+    gradient, and one cosine-similarity op gives the (B, C, P*C)
+    similarities of the new channel rows against all P predecessors'. The
+    absolute values of the distinct-pair entries (i != j within each
+    predecessor's block) are summed and divided by B*P ("raw") or by
+    B*P*C*(C-1) ("mean", also averaging over the pairs). Always
     non-negative, and zero when C == 1 (no distinct pairs).
     """
     if not prev_features:
@@ -140,19 +138,22 @@ def sequential_orthogonality_loss(features_new, prev_features: list, mode: str =
     new = as_tensor(features_new)
     prev = [f.data if isinstance(f, Tensor) else np.asarray(f, dtype=np.float64)
             for f in prev_features]
-    if new.ndim != 3 or any(f.shape != new.shape for f in prev):
-        raise ShapeError(f"expected (B, C, T) feature maps of one shape, got {new.shape} "
-                         f"and {[f.shape for f in prev]}")
+    if new.ndim != 3 or any(f.ndim != 3 or f.shape[::2] != new.shape[::2] or not f.shape[1]
+                            or f.shape[1] % new.shape[1] for f in prev):
+        raise ShapeError(f"expected a (B, C, T) feature map and (B, k*C, T) predecessor "
+                         f"maps, got {new.shape} and {[f.shape for f in prev]}")
     if mode not in ("mean", "raw"):
         raise ConfigError(f"unknown normalization mode {mode!r}")
     bsz, c, _ = new.shape
     if c == 1:
         return Tensor(np.asarray(0.0))
 
-    sim = cosine_similarity_matrix(new, Tensor(np.concatenate(prev, axis=1)), eps=eps)
-    mask = np.tile(1.0 - np.eye(c), len(prev))
+    stacked = prev[0] if len(prev) == 1 else np.concatenate(prev, axis=1)
+    n_prev = stacked.shape[1] // c
+    sim = cosine_similarity_matrix(new, Tensor(stacked), eps=eps)
+    mask = np.tile(1.0 - np.eye(c), n_prev)
     pairs = c * (c - 1) if mode == "mean" else 1
-    return sum_all(absolute(sim) * mask) * (1.0 / (bsz * len(prev) * pairs))
+    return sum_all(absolute(sim) * mask) * (1.0 / (bsz * n_prev * pairs))
 
 
 def total_loss(ce, orth, alpha: float) -> Tensor:
@@ -187,32 +188,35 @@ def _check_feature_compat(model: LiteModel, prev: list[LiteModel]) -> None:
                               f"dataset has {model.n_classes}")
 
 
-def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset,
-                     cache: list[np.ndarray]):
+def _feature_buffer(ds: TimeSeriesDataset, channels: int) -> np.ndarray:
+    """An uninitialised (N, channels, T) float64 array over an unnamed
+    temporary file, so it is paged by the OS, bounded by the disk rather
+    than by RAM, and freed when its last view goes or the process ends."""
+    with tempfile.TemporaryFile() as fh:
+        return np.memmap(fh, np.float64, "w+", shape=(ds.n, channels, ds.length)).view(np.ndarray)
+
+
+def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset, buf: np.ndarray,
+                     start: int):
     """Eval-mode feature maps of the frozen models over the training set.
 
-    ``cache`` holds the maps of the first ``len(cache)`` models of ``prev``
-    from an earlier call; the maps of the others are computed and appended
-    to it, so a chain that passes one list to every member's training
-    forwards each member once. Returns ``cache``, or empties it and returns
-    None when the maps of all of ``prev`` together would exceed
-    ``_FEATURE_CACHE_LIMIT``; the caller then recomputes them per batch.
-    Eval forwards are pure per sample, so both give the same bits.
+    Slot j of ``buf``, channels ``j*C:(j+1)*C``, holds the maps of
+    ``prev[j]``. Slots ``start..len(prev)-1`` are filled here; the earlier
+    ones were filled by an earlier call, so a chain that passes one buffer
+    to every member's training forwards each member once. Returns the
+    (N, P*C, T) view of the filled slots. Eval forwards are pure per
+    sample, so a step's rows of it hold the bits of a forward over that
+    step's batch.
     """
-    if len(prev) * ds.n * prev[0].config.n_filters * ds.length * 8 > _FEATURE_CACHE_LIMIT:
-        cache.clear()
-        return None
-    for p in prev[len(cache):]:
-        maps = np.empty((ds.n, p.config.n_filters, ds.length))
+    c = prev[0].config.n_filters
+    for j, p in enumerate(prev[start:], start):
         for rows, _, feats in _eval_chunks(p, ds.X):
-            maps[rows] = feats
-        cache.append(maps)
-    return cache
+            buf[rows, j * c:(j + 1) * c] = feats
+    return buf[:, :len(prev) * c]
 
 
 def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
-                model: LiteModel, opt: Adam, prev_models: list[LiteModel],
-                cached: list[np.ndarray] | None, epoch: int):
+                model: LiteModel, opt: Adam, frozen: np.ndarray | None, epoch: int):
     """One optimizer step on the batch ``idx``.
 
     Returns plain numbers only (cross-entropy, orthogonality loss, total
@@ -220,23 +224,18 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
     their gradients are freed when it returns, before the next step's
     forward pass starts.
     """
-    xb = Tensor(ds.X[idx])
     try:
-        logits, feats = model.forward(xb, mode="train")
+        logits, feats = model.forward(Tensor(ds.X[idx]), mode="train")
     except NumericError as exc:
         raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
     ce = softmax_cross_entropy(logits, ds.Y[idx])
-    if prev_models:
+    if frozen is not None:
         # A zero-weight penalty must not touch the gradient graph, so
         # detach it when only cross-entropy counts. The predecessors' maps
-        # go in as a temporary list of arrays: the loss stacks them into
-        # one constant, and the gathered copies are freed when it returns.
+        # are gathered once, already stacked, and freed when the loss returns.
         feats_for_orth = feats.detach() if config.alpha == 1.0 else feats
-        orth = sequential_orthogonality_loss(
-            feats_for_orth,
-            [f[idx] for f in cached] if cached is not None
-            else [p.forward(xb, mode="eval")[1].data for p in prev_models],
-            mode=config.orth_normalization)
+        orth = sequential_orthogonality_loss(feats_for_orth, [frozen[idx]],
+                                             mode=config.orth_normalization)
         loss = total_loss(ce, orth, config.alpha)
         orth_value = orth.item()
     else:
@@ -253,18 +252,16 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
 
 
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
-                prev_models: list[LiteModel], out_dir=None, feature_cache=None):
+                prev_models: list[LiteModel], out_dir=None, frozen=None):
+    """Train ``model`` against ``prev_models``, whose training-set maps the
+    caller passes as ``frozen``, the filled view :func:`_frozen_features`
+    returns (None without predecessors)."""
     config.validate()
     if out_dir is not None:
         # The best checkpoint, written last, marks a finished member.
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "checkpoint_best.ckpt").unlink(missing_ok=True)
-    cached = None
-    if prev_models:
-        _check_feature_compat(model, prev_models)
-        cached = _frozen_features(prev_models, ds,
-                                  [] if feature_cache is None else feature_cache)
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -279,8 +276,7 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         ce_sum = orth_sum = total_sum = 0.0
         correct = 0
         for idx in batch_indices(ds.n, config.batch_size, config.seed, epoch):
-            ce, orth, total, hits = _train_step(ds, idx, config, model, opt, prev_models,
-                                                cached, epoch)
+            ce, orth, total, hits = _train_step(ds, idx, config, model, opt, frozen, epoch)
             nb = idx.size
             ce_sum += ce * nb
             orth_sum += orth * nb
@@ -344,9 +340,13 @@ def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
     """
     if not prev_models:
         raise UsageError("decorrelated training requires at least one previous model")
+    config.validate()  # before any predecessor's forwards
     arch = arch or prev_models[0].config
     model = init_model(arch, ds.n_classes, config.seed)
-    return _train_loop(ds, config, model, list(prev_models), out_dir)
+    _check_feature_compat(model, prev_models)
+    buf = _feature_buffer(ds, len(prev_models) * arch.n_filters)
+    return _train_loop(ds, config, model, list(prev_models), out_dir,
+                       _frozen_features(prev_models, ds, buf, 0))
 
 
 def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
@@ -378,9 +378,11 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     "base" trains every member independently with cross-entropy, one seed
     per member. "deco" trains the first seed's member with cross-entropy
     as the fixed reference, then each further member sequentially with the
-    orthogonality penalty against all members before it. Each member's
-    training-set features are computed once, when the member after it
-    starts, and kept for the rest of the chain.
+    orthogonality penalty against all members before it. The chain keeps
+    its members' training-set maps in one (N, (size-1)*C, T) buffer in an
+    unnamed temporary file; each member's maps are computed once, when the
+    first member trained against it starts, so a loaded member costs no
+    forward until a later member needs its maps.
 
     A member whose out_dir holds a readable ``checkpoint_best.ckpt`` is
     loaded, with None for its log, when the checkpoint fits the
@@ -406,14 +408,17 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     arch = arch or LiteArchitectureConfig()
     models: list[LiteModel] = []
     logs: list[TrainLog | None] = []
-    feature_cache: list[np.ndarray] = []
+    buf = _feature_buffer(ds, (size - 1) * arch.n_filters) if kind == "deco" and size > 1 else None
+    filled = 0
     for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
         prev = models.copy() if kind == "deco" else []
         model, log = _reusable(out_dir, ds, member_cfg, prev, arch), None
         if model is None:
+            frozen = _frozen_features(prev, ds, buf, filled) if prev else None
+            filled = len(prev)
             model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
-                                     prev, out_dir, feature_cache)
+                                     prev, out_dir, frozen)
         models.append(model)
         logs.append(log)
 
