@@ -17,6 +17,7 @@ policy. Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
+import os
 import tempfile
 import time
 import warnings
@@ -190,10 +191,18 @@ def _check_feature_compat(model: LiteModel, prev: list[LiteModel]) -> None:
 
 def _feature_buffer(ds: TimeSeriesDataset, channels: int) -> np.ndarray:
     """An uninitialised (N, channels, T) float64 array over an unnamed
-    temporary file, so it is paged by the OS, bounded by the disk rather
-    than by RAM, and freed when its last view goes or the process ends."""
+    temporary file in the system temp directory (``TMPDIR``), freed when
+    its last view goes or the process ends.
+
+    The file's space is reserved here, so a temp directory without room
+    for it raises OSError before any training rather than killing the
+    process with SIGBUS when a later write finds no space. On a disk the
+    OS may page the array out; where ``TMPDIR`` is a tmpfs, it is RAM.
+    """
+    shape = (ds.n, channels, ds.length)
     with tempfile.TemporaryFile() as fh:
-        return np.memmap(fh, np.float64, "w+", shape=(ds.n, channels, ds.length)).view(np.ndarray)
+        os.posix_fallocate(fh.fileno(), 0, 8 * int(np.prod(shape)))
+        return np.memmap(fh, np.float64, "r+", shape=shape).view(np.ndarray)
 
 
 def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset, buf: np.ndarray,
@@ -252,16 +261,20 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
 
 
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
-                prev_models: list[LiteModel], out_dir=None, frozen=None):
-    """Train ``model`` against ``prev_models``, whose training-set maps the
-    caller passes as ``frozen``, the filled view :func:`_frozen_features`
-    returns (None without predecessors)."""
+                prev_models: list[LiteModel], out_dir=None, buf=None, start: int = 0):
+    """Train ``model`` against ``prev_models``, whose training-set maps go
+    into the caller's buffer ``buf`` through :func:`_frozen_features`,
+    which forwards the models from ``start`` on once the config is valid."""
     config.validate()
     if out_dir is not None:
         # The best checkpoint, written last, marks a finished member.
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "checkpoint_best.ckpt").unlink(missing_ok=True)
+    frozen = None
+    if prev_models:
+        _check_feature_compat(model, prev_models)
+        frozen = _frozen_features(prev_models, ds, buf, start)
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -340,13 +353,10 @@ def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
     """
     if not prev_models:
         raise UsageError("decorrelated training requires at least one previous model")
-    config.validate()  # before any predecessor's forwards
     arch = arch or prev_models[0].config
     model = init_model(arch, ds.n_classes, config.seed)
-    _check_feature_compat(model, prev_models)
-    buf = _feature_buffer(ds, len(prev_models) * arch.n_filters)
     return _train_loop(ds, config, model, list(prev_models), out_dir,
-                       _frozen_features(prev_models, ds, buf, 0))
+                       _feature_buffer(ds, len(prev_models) * arch.n_filters))
 
 
 def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
@@ -380,9 +390,10 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     as the fixed reference, then each further member sequentially with the
     orthogonality penalty against all members before it. The chain keeps
     its members' training-set maps in one (N, (size-1)*C, T) buffer in an
-    unnamed temporary file; each member's maps are computed once, when the
-    first member trained against it starts, so a loaded member costs no
-    forward until a later member needs its maps.
+    unnamed temporary file, whose space is reserved before the first member
+    trains (OSError when the temp directory lacks it); each member's maps
+    are computed once, when the first member trained against it starts, so
+    a loaded member costs no forward until a later member needs its maps.
 
     A member whose out_dir holds a readable ``checkpoint_best.ckpt`` is
     loaded, with None for its log, when the checkpoint fits the
@@ -415,10 +426,9 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
         prev = models.copy() if kind == "deco" else []
         model, log = _reusable(out_dir, ds, member_cfg, prev, arch), None
         if model is None:
-            frozen = _frozen_features(prev, ds, buf, filled) if prev else None
-            filled = len(prev)
             model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
-                                     prev, out_dir, frozen)
+                                     prev, out_dir, buf, filled)
+            filled = len(prev)
         models.append(model)
         logs.append(log)
 

@@ -1,5 +1,6 @@
 """Losses and training loops: algebra, contracts, decorrelation effect."""
 
+import errno
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -447,6 +448,38 @@ class TestBuildEnsemble:
         fresh = build_ensemble(ds, cfg, size=4, kind="deco")
         assert [model_checksum(m) for m in rerun.models] == \
             [model_checksum(m) for m in fresh.models]
+
+    def test_no_room_for_the_maps_fails_before_training(self, tmp_path, monkeypatch):
+        def no_space(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(training_mod.os, "posix_fallocate", no_space)
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / f"member{i}" for i in range(3)]
+        with pytest.raises(OSError) as exc:
+            build_ensemble(ds, _quick(epochs=2), size=3, kind="deco", out_dirs=dirs)
+        assert exc.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_config_fails_before_forwarding_a_loaded_reference(self, tmp_path,
+                                                                   monkeypatch):
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / f"member{i}" for i in range(2)]
+        build_ensemble(ds, _quick(epochs=2), size=2, kind="deco", out_dirs=dirs)
+        rows = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            rows.append(mode)
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        # The reference ignores alpha, so it is loaded; member 1 must reject
+        # alpha before the reference's maps are computed.
+        with pytest.raises(ConfigError):
+            build_ensemble(ds, _quick(epochs=2, alpha=1.5), size=2, kind="deco",
+                           out_dirs=dirs)
+        assert rows == []
 
     def test_changed_or_unrecorded_config_retrains(self, tmp_path):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
