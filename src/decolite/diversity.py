@@ -117,32 +117,22 @@ def dtw(a, b) -> float:
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
         raise UsageError("dtw requires non-empty sequences")
-    n, m = a.size, b.size
-    acc = np.full((n + 1, m + 1), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        ai = a[i - 1]
-        row = acc[i]
-        prev = acc[i - 1]
-        for j in range(1, m + 1):
-            cost = (ai - b[j - 1]) ** 2
-            row[j] = cost + min(prev[j], row[j - 1], prev[j - 1])
-    return float(acc[n, m])
+    return float(_dtw_batch(a[None], b[None])[0])
 
 
 def _dtw_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """dtw() per row pair of two equal-length (P, L) stacks, vectorized
-    over pairs with the same recurrence the scalar version uses. The pair
-    axis is last, so each cell update reads and writes contiguous P-vectors."""
-    _, length = left.shape
+    """dtw() per row pair of a (P, n) and a (P, m) stack, vectorized over
+    pairs. The pair axis is last, so each cell update reads and writes
+    contiguous P-vectors."""
+    n, m = left.shape[1], right.shape[1]
     cost = (left.T[:, None, :] - right.T[None, :, :]) ** 2
-    acc = np.full((length + 1, length + 1, left.shape[0]), np.inf)
+    acc = np.full((n + 1, m + 1, left.shape[0]), np.inf)
     acc[0, 0] = 0.0
-    for i in range(1, length + 1):
-        for j in range(1, length + 1):
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
             best = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1])
             acc[i, j] = cost[i - 1, j - 1] + best
-    return acc[length, length]
+    return acc[n, m]
 
 
 @dataclass

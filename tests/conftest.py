@@ -17,6 +17,23 @@ def ucr_root_or_none(dataset: str):
     return root if (root / dataset / f"{dataset}_TRAIN.tsv").is_file() else None
 
 
+def train_twins(train_ds, config_for_seed):
+    """Reference seed 0, then same-seed (plain, decorrelated) twins for
+    seeds 1-5, the decorrelated one trained against the reference.
+
+    ``ref_checksum`` is taken before any twin trains, so a test can show
+    that training against the reference left it untouched.
+    """
+    ref, _ = train_base(train_ds, config_for_seed(0))
+    ref_checksum = model_checksum(ref)
+    pairs = []
+    for seed in range(1, 6):
+        base, _ = train_base(train_ds, config_for_seed(seed))
+        deco, _ = train_decorrelated(train_ds, config_for_seed(seed), [ref])
+        pairs.append({"seed": seed, "base": base, "deco": deco})
+    return {"ref": ref, "ref_checksum": ref_checksum, "pairs": pairs}
+
+
 @pytest.fixture(scope="session")
 def birdchicken_runs():
     """One reference plus five (plain, decorrelated) twins on BirdChicken.
@@ -35,18 +52,6 @@ def birdchicken_runs():
     train_ds, test_ds = load_dataset(root, "BirdChicken")
     assert (train_ds.n, test_ds.n, train_ds.length, train_ds.n_classes) == (20, 20, 512, 2)
 
-    ref, _ = train_base(train_ds, TrainConfig(epochs=500, seed=0))
-    ref_checksum = model_checksum(ref)
-    pairs = []
-    for seed in range(1, 6):
-        base, _ = train_base(train_ds, TrainConfig(epochs=500, seed=seed))
-        deco, _ = train_decorrelated(train_ds, TrainConfig(epochs=500, seed=seed), [ref])
-        pairs.append({"seed": seed, "base": base, "deco": deco})
-    return {
-        "train": train_ds,
-        "test": test_ds,
-        "ref": ref,
-        "ref_checksum": ref_checksum,
-        "pairs": pairs,
-        "elapsed": time.perf_counter() - start,
-    }
+    twins = train_twins(train_ds, lambda seed: TrainConfig(epochs=500, seed=seed))
+    return {"train": train_ds, "test": test_ds, **twins,
+            "elapsed": time.perf_counter() - start}

@@ -325,9 +325,9 @@ class TestSmokeCommand:
 
         def corrupting_save(path, kind, meta, arrays):
             real_save(path, kind, meta, arrays)
-            blob = bytearray(open(path, "rb").read())
+            blob = bytearray(Path(path).read_bytes())
             blob[-1] ^= 0x01
-            open(path, "wb").write(bytes(blob))
+            Path(path).write_bytes(bytes(blob))
 
         # save_model writes through this binding, so every checkpoint the
         # smoke run produces lands on disk corrupted

@@ -1,12 +1,14 @@
-"""The smoke battery's oracle checks fail on the smallest disagreement.
+"""The smoke battery's checks fail on the smallest disagreement.
 
-Each check also has a hand case, so the detail is matched too: it must name
-the randomized comparison against the enumeration oracle.
+Each oracle check also has a hand case, so the detail is matched too: it
+must name the randomized comparison against the enumeration oracle. A
+failed check also fails the acceptance criterion that runs it.
 """
 
 import numpy as np
+import pytest
 
-from decolite import diversity, evaluation
+from decolite import diversity, evaluation, tensor as T, training
 from decolite.smoke import SMOKE_CHECKS
 
 CHECKS = dict(SMOKE_CHECKS)
@@ -34,3 +36,17 @@ def test_wilcoxon_check_fails_p_1e15_off(tmp_path, monkeypatch):
     monkeypatch.setattr(evaluation, "wilcoxon_signed_rank", shifted)
     passed, detail = CHECKS["wilcoxon-exact"](tmp_path)
     assert passed is False and detail.startswith("trial 0:")
+
+
+def test_failing_check_fails_its_criterion(tmp_path, monkeypatch):
+    import test_acceptance
+    real = training.total_loss
+
+    def one_ulp_off(ce, orth, alpha):
+        return T.Tensor(np.nextafter(real(ce, orth, alpha).data, np.inf))
+
+    monkeypatch.setattr(training, "total_loss", one_ulp_off)
+    with pytest.raises(AssertionError) as excinfo:
+        test_acceptance.test_criterion_2_loss_algebra(tmp_path)
+    message = str(excinfo.value)
+    assert "loss-algebra" in message and "alpha blend arithmetic off" in message

@@ -184,13 +184,6 @@ class TestTrainConfig:
 
 
 class TestTrainBase:
-    def test_reaches_full_accuracy_on_separable_data(self):
-        ds = synthetic_trend_dataset(n=32, length=16, seed=0)
-        net, log = train_base(ds, TrainConfig(epochs=200, batch_size=64, seed=0))
-        assert any(r.train_accuracy == 1.0 for r in log.records)
-        logits, _ = net.forward(ds.X, mode="eval")
-        assert (logits.data.argmax(axis=1) == ds.y).all()
-
     def test_deterministic_across_runs(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=1)
         a, _ = train_base(ds, _quick(seed=3))
@@ -290,26 +283,21 @@ class TestTrainDecorrelated:
 @pytest.fixture(scope="module")
 def decorrelation_runs():
     """One reference plus five (plain, decorrelated) same-seed twins."""
+    from conftest import train_twins
     train = synthetic_trend_dataset(n=32, length=96, seed=0)
-    cfg = lambda s: TrainConfig(epochs=100, batch_size=64, seed=s)  # noqa: E731
-    ref, _ = train_base(train, cfg(0))
-    ref_checksum = model_checksum(ref)
+    twins = train_twins(train, lambda s: TrainConfig(epochs=100, batch_size=64, seed=s))
 
     def eval_features(m):
         _, f = m.forward(train.X, mode="eval")
         return f.data
 
-    ref_feats = eval_features(ref)
-    pairs = []
-    for seed in range(1, 6):
-        plain, _ = train_base(train, cfg(seed))
-        deco, _ = train_decorrelated(train, cfg(seed), [ref])
-        pairs.append({
-            "seed": seed,
-            "orth_deco": orthogonality_loss(eval_features(deco), ref_feats).item(),
-            "orth_plain": orthogonality_loss(eval_features(plain), ref_feats).item(),
-        })
-    return {"ref": ref, "ref_checksum": ref_checksum, "pairs": pairs}
+    ref_feats = eval_features(twins["ref"])
+    pairs = [{
+        "seed": p["seed"],
+        "orth_deco": orthogonality_loss(eval_features(p["deco"]), ref_feats).item(),
+        "orth_plain": orthogonality_loss(eval_features(p["base"]), ref_feats).item(),
+    } for p in twins["pairs"]]
+    return {"ref": twins["ref"], "ref_checksum": twins["ref_checksum"], "pairs": pairs}
 
 
 class TestDecorrelationEffect:
