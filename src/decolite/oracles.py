@@ -2,8 +2,8 @@
 tests check the package against.
 
 Everything here is deliberately written the slow, obvious way (direct
-summation, explicit path enumeration, full sign enumeration) and never
-calls into the code paths it is used to verify. The one import from the
+summation, a scalar dynamic program, explicit path enumeration, full sign
+enumeration) and never calls into the code paths it is used to verify. The one import from the
 package is :func:`tensor.backward`, which produces the analytic gradients
 that :func:`fd_max_rel_err` compares against finite differences.
 """
@@ -15,7 +15,7 @@ import numpy as np
 from .tensor import backward
 
 
-def conv1d_direct(x, kernel, bias=None, dilation=1, groups=1):
+def conv1d_direct(x, kernel, dilation=1, groups=1):
     """Quadruple-loop cross-correlation with floor/ceil zero padding."""
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -36,8 +36,6 @@ def conv1d_direct(x, kernel, bias=None, dilation=1, groups=1):
                     for i in range(klen):
                         acc += kernel[o, c, i] * padded[b, grp * cg + c, tt + i * dilation]
                 out[b, o, tt] = acc
-            if bias is not None:
-                out[b, o, :] += bias[o]
     return out
 
 
@@ -114,6 +112,19 @@ def dtw_enumerate(a, b):
         if cost < best:
             best = cost
     return best
+
+
+def dtw_dp(a, b):
+    """The textbook O(nm) dynamic program, one scalar cell at a time."""
+    a = [float(v) for v in np.ravel(a)]
+    b = [float(v) for v in np.ravel(b)]
+    acc = [[np.inf] * (len(b) + 1) for _ in range(len(a) + 1)]
+    acc[0][0] = 0.0
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            d = a[i - 1] - b[j - 1]
+            acc[i][j] = d * d + min(acc[i - 1][j], acc[i][j - 1], acc[i - 1][j - 1])
+    return acc[len(a)][len(b)]
 
 
 def average_ranks(values):

@@ -43,15 +43,16 @@ def _check_tensor_gradients(out_dir):
     rng = np.random.default_rng(11)
     errors = []
 
-    for dilation in (1, 2, 4):
-        for groups in (1, 4):
-            x = T.Tensor(rng.normal(size=(2, 4, 9)), requires_grad=True)
-            k = T.Tensor(rng.normal(size=(4, 4 // groups, 3)), requires_grad=True)
-            bias = T.Tensor(rng.normal(size=4), requires_grad=True)
-            errors.append(fd_max_rel_err(
-                lambda x=x, k=k, bias=bias, d=dilation, g=groups:
-                    T.sum_all(T.relu(T.conv1d(x, k, bias, dilation=d, groups=g))),
-                [x, k, bias], rng, 8))
+    # The first layer (one input channel) and depthwise (groups=4) at each
+    # dilation, then one pointwise conv.
+    convs = [(cin, (4, 1, 3), dilation, cin) for dilation in (1, 2, 4) for cin in (1, 4)]
+    for cin, kshape, dilation, groups in convs + [(4, (3, 4, 1), 1, 1)]:
+        x = T.Tensor(rng.normal(size=(2, cin, 9)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=kshape), requires_grad=True)
+        errors.append(fd_max_rel_err(
+            lambda x=x, k=k, d=dilation, g=groups:
+                T.sum_all(T.relu(T.conv1d(x, k, dilation=d, groups=g))),
+            [x, k], rng, 8))
 
     x = T.Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
     gamma = T.Tensor(rng.uniform(0.5, 1.5, size=2), requires_grad=True)

@@ -1,11 +1,12 @@
 """Reverse-mode autodiff over dense float64 arrays of rank <= 3.
 
 This module implements exactly the primitives the LITE classifier and its
-training losses need: dilated/grouped 1-D convolution with "same" padding,
+training losses need: dilated 1-D convolution with "same" padding in
+LITE's three shapes (single-channel first layer, depthwise, pointwise),
 the zero-embedding of a set of kernels into one wider kernel, batch
 normalization (optionally fused with its ReLU), ReLU, global average
-pooling, an affine head, softmax cross-entropy, pairwise cosine-similarity
-matrices and a few elementwise/reduction helpers.
+pooling, an affine head, softmax cross-entropy, batched pairwise
+cosine-similarity matrices and a few elementwise/reduction helpers.
 
 Each operation records its parent tensors and a gradient closure on the
 output, so the autodiff graph is the DAG of :class:`Tensor` nodes reached
@@ -20,15 +21,16 @@ read it.
 
 The convolution and batch-norm kernels read their activations where they
 lie, and a graph node keeps its output and its parents but no copy of an
-input. Convolutions take one of three paths: im2col, depthwise
-(``einsum`` over a strided window view) and channel-major (one GEMM per
-tap over time slices); the padded input and the im2col window matrix are
-temporaries, rebuilt from the input when a kernel gradient needs them.
-Batch norm is one affine pass ``x * scale + shift`` in both modes (train
-mode takes a two-pass variance first) and stores no normalized map: its
-backward pass works from the input. With ``relu=True`` batch norm clamps
-its own output in place and masks the incoming gradient itself, so the
-pair keeps one full-size activation in the graph instead of two.
+input. The first-layer convolution is a GEMM per sample over an im2col
+window matrix, depthwise an ``einsum`` over a strided window view and
+pointwise a GEMM per sample over the input itself; the padded input and
+the window matrix are temporaries, rebuilt from the input when a kernel
+gradient needs them. Batch norm is one affine pass ``x * scale + shift``
+in both modes (train mode takes a two-pass variance first) and stores no
+normalized map: its backward pass works from the input. With
+``relu=True`` batch norm clamps its own output in place and masks the
+incoming gradient itself, so the pair keeps one full-size activation in
+the graph instead of two.
 
 All arithmetic is float64 and every reduction uses a fixed accumulation
 order, so identical inputs produce bit-identical outputs on one platform.
@@ -128,12 +130,9 @@ class Tensor:
         t._backward = None
         return t
 
-    def backward(self) -> None:
-        backward(self)
-
-    # Only the arithmetic the loss pipeline needs: tensor + tensor and
-    # tensor * tensor of matching shape, and multiplication by a python
-    # scalar or a constant ndarray that broadcasts against this tensor.
+    # Only the arithmetic the loss pipeline needs: tensor + tensor of
+    # matching shape, and multiplication by a python scalar or a constant
+    # ndarray that broadcasts against this tensor.
     def __add__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -152,18 +151,7 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, Tensor):
-            if self.shape != other.shape:
-                raise ShapeError(f"mul shape mismatch: {self.shape} vs {other.shape}")
-            out = self.data * other.data
-            a, b = self, other
-
-            def grad_fn(g):
-                if a.requires_grad:
-                    _accumulate(a, g * b.data)
-                if b.requires_grad:
-                    _accumulate(b, g * a.data)
-
-            return Tensor._op(out, (self, other), grad_fn)
+            return NotImplemented
         const = np.asarray(other, dtype=np.float64)
         out = self.data * const
         if out.shape != self.shape:
@@ -259,13 +247,14 @@ def backward(loss: Tensor) -> None:
 # convolution
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
-           dilation: int = 1, groups: int = 1) -> Tensor:
-    """Grouped, dilated 1-D cross-correlation with zero "same" padding.
+def conv1d(x: Tensor, kernel: Tensor, *, dilation: int = 1, groups: int = 1) -> Tensor:
+    """Dilated 1-D cross-correlation with zero "same" padding.
 
-    ``x`` is (B, Cin, T), ``kernel`` is (Cout, Cin/groups, K) and the
-    optional ``bias`` is (Cout,). No kernel flip is applied. Padding splits
-    the span (K-1)*dilation as floor/ceil halves (left/right), so the
+    ``x`` is (B, Cin, T). The shapes pick one of LITE's three paths: the
+    first layer (Cin=1, kernel (Cout, 1, K)), depthwise (kernel (C, 1, K)
+    with groups=C=Cin) and pointwise (kernel (Cout, Cin, 1)); any other
+    shape is a :class:`ShapeError`. No kernel flip is applied. Padding
+    splits the span (K-1)*dilation as floor/ceil halves (left/right), so the
     output keeps length T exactly.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
@@ -274,34 +263,27 @@ def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None, *,
     if dilation < 1 or groups < 1:
         raise ConfigError("dilation and groups must be positive")
     cin = x.shape[1]
-    cout, cg, _ = kernel.shape
-    if cin % groups or cout % groups:
-        raise ShapeError(f"channels ({cin} in, {cout} out) not divisible by groups={groups}")
-    if cg != cin // groups:
-        raise ShapeError(f"kernel expects {cg} channels per group, input provides {cin // groups}")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"bias shape {bias.shape} does not match {cout} output channels")
-
-    out, saved = _conv_forward(x.data, kernel.data, dilation, groups)
-    if bias is not None:
-        out += bias.data[None, :, None]
-
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    cout, cg, klen = kernel.shape
+    if groups == 1 and cin == cg == 1:
+        path = "first"
+    elif groups == cin == cout and cg == 1:
+        path = "depthwise"
+    elif groups == 1 and cg == cin and klen == 1:
+        path = "pointwise"
+    else:
+        raise ShapeError(f"conv1d has no path for input {x.shape}, kernel {kernel.shape} "
+                         f"and groups={groups}")
+    saved = (path, x.data, kernel.data, dilation)
 
     def grad_fn(g):
-        if x.requires_grad or kernel.requires_grad:
-            gx, gk = _conv_backward(saved, g, need_input=x.requires_grad,
-                                    need_kernel=kernel.requires_grad)
-            if x.requires_grad:
-                _accumulate(x, gx)
-            if kernel.requires_grad:
-                _accumulate(kernel, gk)
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2)))
+        gx, gk = _conv_backward(saved, g, need_input=x.requires_grad,
+                                need_kernel=kernel.requires_grad)
+        if x.requires_grad:
+            _accumulate(x, gx)
+        if kernel.requires_grad:
+            _accumulate(kernel, gk)
 
-    return Tensor._op(out, parents, grad_fn)
+    return Tensor._op(_conv_forward(saved), (x, kernel), grad_fn)
 
 
 def _pad_time(a: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -333,42 +315,34 @@ def _im2col(x: np.ndarray, klen: int, dilation: int) -> np.ndarray:
                                                  klen, dilation))
 
 
-def _conv_forward(x: np.ndarray, k: np.ndarray, dilation: int, groups: int):
-    """Output and saved state of a convolution over the unpadded input
-    ``x``; the padded input and window matrix are temporaries."""
-    b, cin, t = x.shape
-    cout, cg, klen = k.shape
-    if cin == 1 and groups == 1:
+def _conv_forward(saved) -> np.ndarray:
+    """Output of a convolution over the unpadded input; the padded input
+    and the window matrix are temporaries."""
+    path, x, k, dilation = saved
+    klen = k.shape[2]
+    if path == "first":
         # Single input channel: materialize the window matrix and use one
         # GEMM per sample that writes the (Cout, T) layout directly.
-        out = np.matmul(k[:, 0, :], _im2col(x, klen, dilation).transpose(0, 2, 1))
-        return out, ("im2col", x, k, dilation, None)
-    xp = _same_padded(x, klen, dilation)
-    if groups == cin and cout == cin and cg == 1:
-        # Depthwise: each channel's taps against the strided window view.
-        # BLAS cannot take the overlapping view, so matmul would fall back
-        # to its slow generic loop; a plain einsum reads the view in place
+        return np.matmul(k[:, 0, :], _im2col(x, klen, dilation).transpose(0, 2, 1))
+    if path == "depthwise":
+        # Each channel's taps against the strided window view. BLAS cannot
+        # take the overlapping view, so matmul would fall back to its slow
+        # generic loop; a plain einsum reads the view in place
         # (optimize=True would copy it).
-        out = np.einsum("bctk,ck->bct", _dilated_windows(xp, klen, dilation), k[:, 0, :])
-        return out, ("depthwise", x, k, dilation, None)
-    # Channel-major: per tap, one GEMM per (sample, group) over a time
-    # slice of the (B, groups, Cg, T) input, with no transposed copy.
-    og = cout // groups
-    xg = xp.reshape(b, groups, cg, -1)
-    kt = np.ascontiguousarray(k.reshape(groups, og, cg, klen).transpose(3, 0, 1, 2))
-    out = np.matmul(kt[0], xg[..., :t])
-    for i in range(1, klen):
-        off = i * dilation
-        out += np.matmul(kt[i], xg[..., off:off + t])
-    return out.reshape(b, cout, t), ("channelmajor", x, k, dilation, kt)
+        return np.einsum("bctk,ck->bct",
+                         _dilated_windows(_same_padded(x, klen, dilation), klen, dilation),
+                         k[:, 0, :])
+    # Pointwise: one (Cout, Cin) @ (Cin, T) GEMM per sample, with no copy
+    # of the input.
+    return np.matmul(k[:, :, 0], x)
 
 
 def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool):
     """(input gradient, kernel gradient) of a convolution, either None when
     not needed; the input gradient is with respect to the unpadded input."""
-    path, x, k, dilation, kt = saved
-    b, cin, t = x.shape
-    cout, cg, klen = k.shape
+    path, x, k, dilation = saved
+    t = x.shape[2]
+    klen = k.shape[2]
     span = (klen - 1) * dilation
     pad_left = span // 2
     gx = gk = None
@@ -388,42 +362,24 @@ def _conv_backward(saved, g: np.ndarray, *, need_input: bool, need_kernel: bool)
             # at the unpadded positions.
             gz = _pad_time(g, span - pad_left, pad_left)
             gx = np.einsum("bctk,ck->bct", _dilated_windows(gz, klen, dilation), k[:, 0, ::-1])
-    elif path == "im2col":
+    elif path == "first":
         if need_kernel:
             # One (Cout, T) @ (T, K) GEMM per sample, summed over the batch;
             # a tensordot would first copy g into (B, T, Cout) order.
             gk = np.matmul(g, _im2col(x, klen, dilation)).sum(axis=0)[:, None, :]
         if need_input:
             gwin = g.transpose(0, 2, 1) @ k[:, 0, :]
-            gxp = np.zeros((b, 1, t + span), dtype=np.float64)
+            gxp = np.zeros((x.shape[0], 1, t + span), dtype=np.float64)
             for i in range(klen):
                 off = i * dilation
                 gxp[:, 0, off:off + t] += gwin[:, :, i]
             gx = gxp[:, :, pad_left:pad_left + t]
     else:
-        groups = cin // cg
-        og = cout // groups
-        gg = g.reshape(b, groups, og, t)
         if need_kernel:
-            xg = _same_padded(x, klen, dilation).reshape(b, groups, cg, -1)
             # Per-sample g @ x^T, summed over the batch in order.
-            gk = np.stack([np.matmul(gg, xg[..., i * dilation:i * dilation + t]
-                                     .swapaxes(-1, -2)).sum(axis=0)
-                           for i in range(klen)], axis=-1).reshape(cout, cg, klen)
-            del xg
+            gk = np.matmul(g, x.swapaxes(-1, -2)).sum(axis=0)[:, :, None]
         if need_input:
-            ktt = kt.swapaxes(-1, -2)
-            if span == 0:
-                gx = np.matmul(ktt[0], gg)
-            else:
-                # Tap i joins input position p to output position p - s.
-                gx = np.zeros((b, groups, cg, t), dtype=np.float64)
-                for i in range(klen):
-                    s = i * dilation - pad_left
-                    lo, hi = max(s, 0), min(s + t, t)
-                    if lo < hi:
-                        gx[..., lo:hi] += np.matmul(ktt[i], gg[..., lo - s:hi - s])
-            gx = gx.reshape(b, cin, t)
+            gx = np.matmul(k[:, :, 0].T, g)
     return gx, gk
 
 
@@ -645,26 +601,24 @@ def softmax_cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """Pairwise cosine similarity between the channel rows of two maps.
+    """Pairwise cosine similarity between the channel rows of paired maps.
 
-    Rank-2 inputs (Ca, T) and (Cb, T) produce a (Ca, Cb) matrix whose entry
-    (i, j) is the cosine of a's row i against b's row j; rank-3 inputs
-    (B, Ca, T) and (B, Cb, T) are a batch of such maps and give (B, Ca, Cb).
+    Inputs (B, Ca, T) and (B, Cb, T) give (B, Ca, Cb), whose entry (s, i, j)
+    is the cosine of sample s's row i of ``a`` against its row j of ``b``.
     The denominator is clamped below at ``eps``, so zero-norm rows yield
     similarity 0 and positive per-row rescaling cannot change any entry.
     Entries stay in [-1, 1].
     """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != b.ndim or a.shape[:-2] + a.shape[-1:] != b.shape[:-2] + b.shape[-1:]:
+    if a.ndim != 3 or b.ndim != 3:
+        raise ShapeError(f"cosine_similarity_matrix expects (B, C, T) inputs, "
+                         f"got {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim not in (2, 3):
-        raise ShapeError("cosine_similarity_matrix expects rank-2 or rank-3 inputs")
     if eps <= 0:
         raise ConfigError("eps must be positive")
 
-    squeezed = a.ndim == 2
-    ad = a.data[None] if squeezed else a.data
-    bd = b.data[None] if squeezed else b.data
+    ad, bd = a.data, b.data
 
     gram = np.einsum("bit,bjt->bij", ad, bd, optimize=True)
     na = np.sqrt(np.einsum("bit,bit->bi", ad, ad))
@@ -674,27 +628,22 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     sim = gram / denom
     clamped = denom_raw <= eps
 
-    out = sim[0] if squeezed else sim
-
     def grad_fn(g):
-        gb3 = g[None] if squeezed else g
-        gd = gb3 / denom
-        gs = gb3 * sim
+        gd = g / denom
+        gs = g * sim
         gs = np.where(clamped, 0.0, gs)
         if a.requires_grad:
             lin = np.einsum("bij,bjt->bit", gd, bd, optimize=True)
             coef = gs.sum(axis=2)
             coef = np.divide(coef, na * na, out=np.zeros_like(coef), where=na > 0.0)
-            ga = lin - ad * coef[:, :, None]
-            _accumulate(a, ga[0] if squeezed else ga)
+            _accumulate(a, lin - ad * coef[:, :, None])
         if b.requires_grad:
             lin = np.einsum("bij,bit->bjt", gd, ad, optimize=True)
             coef = gs.sum(axis=1)
             coef = np.divide(coef, nb * nb, out=np.zeros_like(coef), where=nb > 0.0)
-            gb = lin - bd * coef[:, :, None]
-            _accumulate(b, gb[0] if squeezed else gb)
+            _accumulate(b, lin - bd * coef[:, :, None])
 
-    return Tensor._op(out, (a, b), grad_fn)
+    return Tensor._op(sim, (a, b), grad_fn)
 
 
 def absolute(x: Tensor) -> Tensor:

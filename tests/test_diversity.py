@@ -10,7 +10,7 @@ from decolite.diversity import (Embedding2D, FeatureStats, _dtw_batch, dtw, embe
                                 feature_statistics, fid, filter_distance_matrix)
 from decolite.errors import ConfigError, InputError, UsageError
 from decolite.model import LiteArchitectureConfig, init_model
-from decolite.oracles import dtw_enumerate
+from decolite.oracles import dtw_dp, dtw_enumerate
 
 
 @pytest.fixture
@@ -165,11 +165,12 @@ class TestDtw:
 
     def test_batch_path_equals_scalar_path(self, rng):
         left = rng.normal(size=(12, 9))
-        right = rng.normal(size=(12, 9))
+        right = rng.normal(size=(12, 20))
         batched = _dtw_batch(left, right)
         for i in range(12):
-            assert batched[i] == dtw(left[i], right[i])
+            assert batched[i] == dtw_dp(left[i], right[i])
 
+    # 20 is the final layer's kernel length, beyond path enumeration's reach.
     @pytest.mark.parametrize("length", [1, 20])
     def test_batch_path_equals_scalar_path_with_ties(self, rng, length):
         left = rng.normal(size=(8, length))
@@ -180,7 +181,7 @@ class TestDtw:
         right[2:5] = rng.integers(-1, 2, size=(3, length))
         batched = _dtw_batch(left, right)
         for i in range(8):
-            assert batched[i] == dtw(left[i], right[i])
+            assert batched[i] == dtw_dp(left[i], right[i])
 
 
 class TestFilterDistanceMatrix:

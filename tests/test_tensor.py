@@ -55,9 +55,12 @@ class TestTensorBasics:
         T.backward(T.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
+        # The square with one factor held constant: its gradient is that factor.
         y = T.Tensor(rng.normal(size=4), requires_grad=True)
-        T.backward(T.sum_all(y * y))
-        np.testing.assert_allclose(y.grad, 2.0 * y.data)
+        T.backward(T.sum_all(y * y.data))
+        np.testing.assert_array_equal(y.grad, y.data)
+        with pytest.raises(TypeError):  # no tensor-by-tensor product
+            y * y
 
     def test_no_grad_records_nothing_and_restores(self):
         x = T.Tensor([1.0, -2.0, 3.0], requires_grad=True)
@@ -87,15 +90,15 @@ class TestConv1d:
         np.testing.assert_allclose(out.data, conv1d_direct(x, k, dilation=2))
 
     @pytest.mark.parametrize("dilation", [1, 2, 4])
-    @pytest.mark.parametrize("groups,cin,cout", [(1, 3, 5), (4, 4, 4), (2, 4, 6)])
+    @pytest.mark.parametrize("groups,cin,cout", [(1, 3, 5), (4, 4, 4), (1, 1, 5)])
     def test_matches_direct_summation(self, rng, dilation, groups, cin, cout):
+        # Pointwise, depthwise and the first layer; a kernel that mixes
+        # channels is pointwise, so it has one tap.
         x = rng.normal(size=(2, cin, 11))
-        k = rng.normal(size=(cout, cin // groups, 3))
-        bias = rng.normal(size=cout)
-        out = T.conv1d(T.Tensor(x), T.Tensor(k), T.Tensor(bias),
-                       dilation=dilation, groups=groups)
+        k = rng.normal(size=(cout, cin // groups, 1 if cin // groups > 1 else 3))
+        out = T.conv1d(T.Tensor(x), T.Tensor(k), dilation=dilation, groups=groups)
         np.testing.assert_allclose(
-            out.data, conv1d_direct(x, k, bias, dilation, groups), atol=1e-12)
+            out.data, conv1d_direct(x, k, dilation, groups), atol=1e-12)
 
     def test_depthwise_equals_per_channel_convolutions(self, rng):
         x = rng.normal(size=(2, 5, 9))
@@ -144,9 +147,8 @@ class TestConv1d:
     def test_depthwise_gradients_long_dilated_kernel(self, rng):
         x = T.Tensor(rng.normal(size=(2, 3, 30)), requires_grad=True)
         k = T.Tensor(rng.normal(size=(3, 1, 7)), requires_grad=True)
-        bias = T.Tensor(rng.normal(size=3), requires_grad=True)
         gradcheck(lambda: T.sum_all(T.absolute(
-            T.conv1d(x, k, bias, dilation=4, groups=3))), [x, k, bias], rng)
+            T.conv1d(x, k, dilation=4, groups=3))), [x, k], rng)
 
     @pytest.mark.parametrize("length,klen,dilation", [
         (16, 20, 4),  # 38 + 38 padded positions around a 16-step input
@@ -174,21 +176,19 @@ class TestConv1d:
         assert peak <= 3 * x.data.nbytes
 
     @pytest.mark.parametrize("cin,cout,klen,dilation,groups", [
-        (113, 32, 1, 1, 1),  # the model's pointwise convs
-        (4, 5, 3, 2, 1),
-        (6, 9, 3, 1, 3),
+        (113, 32, 1, 1, 1),    # the model's pointwise convs
+        (1, 113, 64, 1, 1),    # its first layer, all banks embedded in one kernel
+        (32, 32, 20, 4, 32),   # its second depthwise conv
     ])
-    def test_channel_major_matches_direct_summation(self, rng, cin, cout, klen, dilation,
-                                                    groups):
+    def test_model_shapes_match_direct_summation_with_gradients(self, rng, cin, cout, klen,
+                                                                dilation, groups):
         x = T.Tensor(rng.normal(size=(2, cin, 13)), requires_grad=True)
         k = T.Tensor(rng.normal(size=(cout, cin // groups, klen)), requires_grad=True)
-        bias = T.Tensor(rng.normal(size=cout), requires_grad=True)
-        out = T.conv1d(x, k, bias, dilation=dilation, groups=groups)
+        out = T.conv1d(x, k, dilation=dilation, groups=groups)
         np.testing.assert_allclose(
-            out.data, conv1d_direct(x.data, k.data, bias.data, dilation, groups),
-            rtol=0, atol=1e-12)
+            out.data, conv1d_direct(x.data, k.data, dilation, groups), rtol=0, atol=1e-12)
         gradcheck(lambda: T.sum_all(T.absolute(
-            T.conv1d(x, k, bias, dilation=dilation, groups=groups))), [x, k, bias], rng)
+            T.conv1d(x, k, dilation=dilation, groups=groups))), [x, k], rng)
 
     def test_pointwise_forward_copies_no_input(self, rng):
         x = T.Tensor(rng.normal(size=(4, 113, 256)))
@@ -206,11 +206,11 @@ class TestConv1d:
     @pytest.mark.parametrize("dilation", [1, 2, 4])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_gradients(self, rng, dilation, groups):
-        x = T.Tensor(rng.normal(size=(2, 4, 9)), requires_grad=True)
-        k = T.Tensor(rng.normal(size=(4, 4 // groups, 3)), requires_grad=True)
-        bias = T.Tensor(rng.normal(size=4), requires_grad=True)
+        # groups=1 is the first layer (one input channel), groups=4 depthwise.
+        x = T.Tensor(rng.normal(size=(2, groups, 9)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(4, 1, 3)), requires_grad=True)
         gradcheck(lambda: T.sum_all(T.absolute(
-            T.conv1d(x, k, bias, dilation=dilation, groups=groups))), [x, k, bias], rng)
+            T.conv1d(x, k, dilation=dilation, groups=groups))), [x, k], rng)
 
     def test_shape_validation(self, rng):
         x = T.Tensor(rng.normal(size=(1, 4, 8)))
@@ -218,15 +218,21 @@ class TestConv1d:
             T.conv1d(x, T.Tensor(rng.normal(size=(3, 2, 3))))  # 2 != 4 channels
         with pytest.raises(ShapeError):
             T.conv1d(x, T.Tensor(rng.normal(size=(3, 4, 3))), groups=3)
+        # Grouped but not depthwise, and multi-tap but not single-channel.
+        with pytest.raises(ShapeError):
+            T.conv1d(x, T.Tensor(rng.normal(size=(4, 2, 3))), groups=2)
+        with pytest.raises(ShapeError):
+            T.conv1d(x, T.Tensor(rng.normal(size=(3, 4, 3))))
         with pytest.raises(ConfigError):
             T.conv1d(x, T.Tensor(rng.normal(size=(3, 4, 3))), dilation=0)
 
     def test_deterministic_bitwise(self, rng):
-        x = T.Tensor(rng.normal(size=(2, 3, 16)))
-        k = T.Tensor(rng.normal(size=(4, 3, 5)))
-        a = T.conv1d(x, k, dilation=2).data
-        b = T.conv1d(x, k, dilation=2).data
-        assert np.array_equal(a, b)
+        for cin, kshape, groups in ((1, (4, 1, 5), 1), (3, (3, 1, 5), 3), (3, (4, 3, 1), 1)):
+            x = T.Tensor(rng.normal(size=(2, cin, 16)))
+            k = T.Tensor(rng.normal(size=kshape))
+            a = T.conv1d(x, k, dilation=2, groups=groups).data
+            b = T.conv1d(x, k, dilation=2, groups=groups).data
+            assert np.array_equal(a, b)
 
 
 class TestBatchNorm:
@@ -429,26 +435,26 @@ class TestSoftmaxCrossEntropy:
 
 class TestCosineSimilarityMatrix:
     def test_orthonormal_rows_give_identity(self):
-        rows = np.eye(2)
+        rows = np.eye(2)[None]
         out = T.cosine_similarity_matrix(T.Tensor(rows), T.Tensor(rows))
-        np.testing.assert_allclose(out.data, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(out.data, np.eye(2)[None], atol=1e-12)
 
     def test_zero_row_maps_to_zero(self, rng):
-        a = np.vstack([np.zeros(3), rng.normal(size=3)])
-        b = rng.normal(size=(2, 3))
+        a = np.vstack([np.zeros(3), rng.normal(size=3)])[None]
+        b = rng.normal(size=(1, 2, 3))
         out = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b))
-        np.testing.assert_array_equal(out.data[0], np.zeros(2))
+        np.testing.assert_array_equal(out.data[0, 0], np.zeros(2))
 
     def test_hand_case(self):
         a = np.array([[1.0, 0.0], [1.0, 1.0]]) / np.array([1.0, np.sqrt(2.0)])[:, None]
         b = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b))
-        np.testing.assert_allclose(out.data, [[1.0, 0.0], [0.7071, 0.7071]], atol=1e-4)
+        out = T.cosine_similarity_matrix(T.Tensor(a[None]), T.Tensor(b[None]))
+        np.testing.assert_allclose(out.data, [[[1.0, 0.0], [0.7071, 0.7071]]], atol=1e-4)
 
     def test_entries_bounded(self, rng):
         for _ in range(20):
-            a = rng.normal(size=(4, 6)) * rng.uniform(0.01, 100.0)
-            b = rng.normal(size=(4, 6)) * rng.uniform(0.01, 100.0)
+            a = rng.normal(size=(2, 4, 6)) * rng.uniform(0.01, 100.0)
+            b = rng.normal(size=(2, 4, 6)) * rng.uniform(0.01, 100.0)
             out = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b))
             assert out.data.max() <= 1.0 + 1e-9
             assert out.data.min() >= -1.0 - 1e-9
@@ -458,8 +464,9 @@ class TestCosineSimilarityMatrix:
         b = rng.normal(size=(3, 4, 5))
         batched = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b)).data
         for i in range(3):
-            single = T.cosine_similarity_matrix(T.Tensor(a[i]), T.Tensor(b[i])).data
-            np.testing.assert_array_equal(batched[i], single)
+            single = T.cosine_similarity_matrix(T.Tensor(a[i:i + 1]),
+                                                T.Tensor(b[i:i + 1])).data
+            np.testing.assert_array_equal(batched[i:i + 1], single)
 
     def test_gradients_both_sides(self, rng):
         a = T.Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
@@ -475,11 +482,11 @@ class TestCosineSimilarityMatrix:
         for j in (0, 3):
             square = T.cosine_similarity_matrix(T.Tensor(a), T.Tensor(b[:, j:j + 3])).data
             np.testing.assert_allclose(wide[:, :, j:j + 3], square, rtol=0, atol=1e-12)
-        rank2 = T.cosine_similarity_matrix(T.Tensor(b[1]), T.Tensor(a[1])).data
-        np.testing.assert_allclose(rank2, wide[1].T, rtol=0, atol=1e-12)
+        swapped = T.cosine_similarity_matrix(T.Tensor(b), T.Tensor(a)).data
+        np.testing.assert_allclose(swapped, wide.swapaxes(1, 2), rtol=0, atol=1e-12)
 
     def test_gradients_with_different_channel_counts(self, rng):
-        for sa, sb in (((2, 3, 5), (2, 6, 5)), ((4, 5), (2, 5))):
+        for sa, sb in (((2, 3, 5), (2, 6, 5)), ((1, 4, 5), (1, 2, 5))):
             a = T.Tensor(rng.normal(size=sa), requires_grad=True)
             b = T.Tensor(rng.normal(size=sb), requires_grad=True)
             gradcheck(lambda: T.sum_all(T.absolute(T.cosine_similarity_matrix(a, b))),
@@ -493,8 +500,11 @@ class TestCosineSimilarityMatrix:
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
+            T.cosine_similarity_matrix(T.Tensor(rng.normal(size=(1, 2, 3))),
+                                       T.Tensor(rng.normal(size=(1, 2, 4))))
+        with pytest.raises(ShapeError):  # unbatched maps
             T.cosine_similarity_matrix(T.Tensor(rng.normal(size=(2, 3))),
-                                       T.Tensor(rng.normal(size=(2, 4))))
+                                       T.Tensor(rng.normal(size=(2, 3))))
 
 
 class TestEmbedTaps:
