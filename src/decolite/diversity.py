@@ -32,6 +32,7 @@ __all__ = [
 
 _EIG_CLAMP = 1e-10
 _SYM_TOL = 1e-9
+_DTW_BLOCK_BYTES = 1 << 20  # one DTW sweep's buffers, sized to stay in L2 cache
 
 
 @dataclass
@@ -122,17 +123,57 @@ def dtw(a, b) -> float:
 
 def _dtw_batch(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """dtw() per row pair of a (P, n) and a (P, m) stack, vectorized over
-    pairs. The pair axis is last, so each cell update reads and writes
-    contiguous P-vectors."""
-    n, m = left.shape[1], right.shape[1]
-    cost = (left.T[:, None, :] - right.T[None, :, :]) ** 2
-    acc = np.full((n + 1, m + 1, left.shape[0]), np.inf)
-    acc[0, 0] = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            best = np.minimum(np.minimum(acc[i - 1, j], acc[i, j - 1]), acc[i - 1, j - 1])
-            acc[i, j] = cost[i - 1, j - 1] + best
-    return acc[n, m]
+    pairs.
+
+    The recurrence is swept one anti-diagonal ``d = i + j`` at a time:
+    every cell of a diagonal depends only on the two diagonals before it,
+    so a diagonal is a handful of ufunc calls over all of its cells and a
+    block of pairs at once. The sweep keeps three rotating (n+1, pairs)
+    diagonals, indexed by row ``i`` with the pair axis last, and one
+    (n, pairs) scratch buffer, whatever m is. Blocks of pairs are sized so
+    that those four buffers take about ``_DTW_BLOCK_BYTES`` and stay in
+    cache. Off-table cells and the boundary row and column read as
+    ``inf``.
+
+    Each cell is the same float64 arithmetic as the textbook table: the
+    cost ``(a_i - b_j)`` squared as one product, plus the least of the
+    cell's three predecessors. ``min`` is exact, in any order, on values
+    that are all ``+0``, positive or ``inf``, so the results are
+    bit-identical to filling the table one cell at a time
+    (``oracles.dtw_dp``).
+    """
+    n = left.shape[1]
+    lcols = np.ascontiguousarray(left.T, dtype=np.float64)
+    rcols = np.ascontiguousarray(right.T, dtype=np.float64)[::-1]  # b_j at row m - j
+    out = np.empty(left.shape[0])
+    step = max(1, _DTW_BLOCK_BYTES // (4 * 8 * (n + 1)))
+    for s in range(0, out.size, step):
+        out[s:s + step] = _dtw_sweep(lcols[:, s:s + step], rcols[:, s:s + step])
+    return out
+
+
+def _dtw_sweep(lcols: np.ndarray, rcols: np.ndarray) -> np.ndarray:
+    """The anti-diagonal sweep over (n, P) columns and reversed (m, P) ones."""
+    n, m = lcols.shape[0], rcols.shape[0]
+    # Diagonal 0 holds acc[0, 0] = 0, diagonal 1 only boundary cells.
+    older, prev, cur = (np.full((n + 1, lcols.shape[1]), np.inf) for _ in range(3))
+    older[0] = 0.0
+    best = np.empty((n, lcols.shape[1]))
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        cells = cur[lo:hi + 1]
+        np.subtract(lcols[lo - 1:hi], rcols[m - d + lo:m - d + hi + 1], out=cells)
+        np.multiply(cells, cells, out=cells)
+        b = best[:hi - lo + 1]
+        np.minimum(prev[lo - 1:hi], prev[lo:hi + 1], out=b)  # up, left
+        np.minimum(b, older[lo - 1:hi], out=b)               # diagonal
+        np.add(cells, b, out=cells)
+        # The next two diagonals also read the cells just outside [lo, hi].
+        # Above hi, which grows by one per diagonal up to n, no cell has
+        # been written yet; below lo, cur still holds diagonal d - 3.
+        cur[lo - 1] = np.inf
+        older, prev, cur = prev, cur, older
+    return prev[n]
 
 
 @dataclass
@@ -171,7 +212,10 @@ def filter_distance_matrix(models: list[LiteModel],
     iu, ju = np.triu_indices(n, k=1)
     values = np.zeros((n, n), dtype=np.float64)
     if iu.size:
-        dists = _dtw_batch(stacked[iu], stacked[ju])
+        # Gathered as (len, P) columns, the sweep's pair-last layout, so
+        # that _dtw_batch makes no second copy.
+        dists = _dtw_batch(np.take(stacked.T, iu, axis=1).T,
+                           np.take(stacked.T, ju, axis=1).T)
         values[iu, ju] = dists
         values[ju, iu] = dists
     return FilterDistanceMatrix(labels=labels, values=values)

@@ -50,9 +50,11 @@ __all__ = [
 # fixed denominator for model-size ratio reporting.
 INCEPTIONTIME_REFERENCE_PARAM_COUNT = 420_192
 
-# Rows per eval forward in _eval_chunks, which bounds an eval pass's
-# memory by the chunk rather than by the split.
-_PREDICT_CHUNK = 128
+# Bytes the widest activation of one eval forward in _eval_chunks may
+# take, which bounds an eval pass's memory by the chunk rather than by the
+# split. Chunks hold at most 128 rows, which this budget allows up to
+# T = 579 with the default 113-channel first block.
+_EVAL_CHUNK_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -301,16 +303,24 @@ def init_model(config: LiteArchitectureConfig, n_classes: int, seed: int) -> Lit
     return LiteModel(config, n_classes, seed)
 
 
+def _eval_chunk_rows(model: LiteModel, length: int) -> int:
+    """Rows per eval chunk at series length ``length``: as many as keep the
+    widest activation map within ``_EVAL_CHUNK_BYTES``, between 1 and 128."""
+    width = max(model.dw1.data.shape[0], model.config.n_filters)
+    return min(128, max(1, _EVAL_CHUNK_BYTES // (8 * width * max(1, length))))
+
+
 def _eval_chunks(model: LiteModel, x):
-    """Eval forwards over ``x`` in ``_PREDICT_CHUNK``-row chunks.
+    """Eval forwards over ``x`` in chunks of ``_eval_chunk_rows`` rows.
 
     Yields (row slice, logits, feature map) with numpy arrays per chunk.
     Eval forwards are pure per sample, so the chunks hold the same bits
     as one forward over the whole of ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
-    for start in range(0, x.shape[0], _PREDICT_CHUNK):
-        rows = slice(start, start + _PREDICT_CHUNK)
+    step = _eval_chunk_rows(model, x.shape[-1])
+    for start in range(0, x.shape[0], step):
+        rows = slice(start, start + step)
         logits, feats = model.forward(x[rows], mode="eval")
         yield rows, logits.data, feats.data
 

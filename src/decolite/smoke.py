@@ -24,7 +24,7 @@ from .arrayio import write_json
 from .data import synthetic_trend_dataset
 from .model import (LiteArchitectureConfig, init_model, load_model, model_checksum,
                     save_model)
-from .oracles import dtw_enumerate, fd_max_rel_err, wilcoxon_enumerate
+from .oracles import dtw_dp, dtw_enumerate, fd_max_rel_err, wilcoxon_enumerate
 from .training import TrainConfig, train_base, train_decorrelated
 
 __all__ = ["SmokeCheck", "run_smoke", "SMOKE_CHECKS"]
@@ -151,7 +151,17 @@ def _check_dtw_oracle(out_dir):
             return False, f"mismatch on lengths {a.size}x{b.size}"
     if diversity.dtw([1.0, 2.0], [2.0]) != 1.0:
         return False, "hand case [1,2] vs [2] != 1"
-    return True, "50 random pairs match enumeration exactly"
+    # The batched sweep over many pairs at once, longer than enumeration
+    # reaches, with the left side both shorter and longer than the right.
+    for n, m in ((3, 20), (20, 3)):
+        left, right = rng.normal(size=(40, n)), rng.normal(size=(40, m))
+        left[:8], right[:8] = rng.integers(-1, 2, size=(8, n)), rng.integers(-1, 2, size=(8, m))
+        got = diversity._dtw_batch(left, right)
+        for p in range(40):
+            if got[p] != dtw_dp(left[p], right[p]):
+                return False, f"batched mismatch on lengths {n}x{m}, pair {p}"
+    return True, ("50 random pairs match enumeration exactly; "
+                  "80 batched pairs match the scalar dynamic program")
 
 
 def _check_wilcoxon(out_dir):

@@ -1,16 +1,28 @@
 """Feature statistics, Frechet distances, warping distances, 2-D embedding."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from decolite import diversity, model as model_module
 from decolite.data import synthetic_trend_dataset
 from decolite.diversity import (Embedding2D, FeatureStats, _dtw_batch, dtw, embed_2d,
                                 feature_statistics, fid, filter_distance_matrix)
 from decolite.errors import ConfigError, InputError, UsageError
 from decolite.model import LiteArchitectureConfig, init_model
 from decolite.oracles import dtw_dp, dtw_enumerate
+
+
+def peak(fn):
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -67,17 +79,27 @@ class TestFeatureStatistics:
         assert np.array_equal(stats.mu, pooled.mean(axis=0))
         assert np.array_equal(stats.sigma, np.cov(pooled, rowvar=False, ddof=1))
 
-        def peak(fn):
-            tracemalloc.start()
-            try:
-                fn()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         chunk = peak(lambda: models[0].forward(x[:128], mode="eval"))
         # One forward over all 300 rows peaks at about 2.3 chunks.
         assert peak(lambda: feature_statistics(models[0], x)) <= 1.25 * chunk
+
+    def test_long_series_peak_does_not_grow_with_rows(self, models, monkeypatch):
+        x = synthetic_trend_dataset(n=16, length=1024, seed=3).X
+        # A budget of 4 rows at this length, so 8 rows run as 2 chunks and
+        # 16 rows as 4.
+        row_bytes = 8 * models[0].dw1.data.shape[0] * x.shape[-1]
+        monkeypatch.setattr(model_module, "_EVAL_CHUNK_BYTES", 4 * row_bytes)
+        assert model_module._eval_chunk_rows(models[0], x.shape[-1]) == 4
+
+        two = peak(lambda: feature_statistics(models[0], x[:8]))
+        four = peak(lambda: feature_statistics(models[0], x))
+        assert four <= 1.05 * two
+        assert four < 0.5 * peak(lambda: models[0].forward(x, mode="eval"))
+
+    def test_chunk_rows_follow_the_byte_budget(self, models):
+        rows = [model_module._eval_chunk_rows(models[0], t) for t in (32, 512, 579, 580, 2709)]
+        assert rows == [128, 128, 128, 127, 27]
+        assert model_module._eval_chunk_rows(models[0], 10**9) == 1
 
 
 class TestFid:
@@ -183,6 +205,31 @@ class TestDtw:
         for i in range(8):
             assert batched[i] == dtw_dp(left[i], right[i])
 
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 7), (7, 1), (3, 20), (20, 3), (20, 20)])
+    def test_wavefront_equals_scalar_dynamic_program(self, rng, n, m):
+        left = rng.normal(size=(10, n))
+        right = rng.normal(size=(10, m))
+        left[0], right[0] = 0.5, 0.5            # all-equal rows: every cost is zero
+        left[1], right[1] = 0.0, 1.0            # every cell costs the same
+        left[2:6] = rng.integers(-1, 2, size=(4, n))
+        right[2:6] = rng.integers(-1, 2, size=(4, m))
+        batched = _dtw_batch(left, right)
+        for i in range(10):
+            assert batched[i] == dtw_dp(left[i], right[i])
+
+    def test_wavefront_spans_several_pair_blocks(self, rng, monkeypatch):
+        # Blocks of two pairs at n = 4, the last one short.
+        monkeypatch.setattr(diversity, "_DTW_BLOCK_BYTES", 2 * 4 * 8 * 5)
+        left, right = rng.normal(size=(5, 4)), rng.normal(size=(5, 6))
+        batched = _dtw_batch(left, right)
+        assert [float(v) for v in batched] == [dtw_dp(a, b) for a, b in zip(left, right)]
+
+
+@pytest.fixture(scope="module")
+def five_models():
+    arch = LiteArchitectureConfig()
+    return [init_model(arch, 2, seed) for seed in range(5)]
+
 
 class TestFilterDistanceMatrix:
     def test_single_model_shape_and_diagonal(self, models):
@@ -196,12 +243,21 @@ class TestFilterDistanceMatrix:
         cross = m.values[:32, 32:]
         np.testing.assert_array_equal(np.diag(cross), np.zeros(32))
 
-    def test_five_models_give_160_square(self, models):
-        arch = LiteArchitectureConfig()
-        five = [init_model(arch, 2, s) for s in range(5)]
-        m = filter_distance_matrix(five)
+    def test_five_models_give_160_square(self, five_models):
+        m = filter_distance_matrix(five_models)
         assert m.values.shape == (160, 160)
         assert len(m.labels) == 160
+
+    def test_five_models_pinned_bits(self, five_models):
+        # The bits of the textbook cell-by-cell table on these models.
+        values = filter_distance_matrix(five_models).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "fdd341fac41532dff0a5d83e25656ca6caf24379d1faaa4f2cbc9e0873233548")
+
+    def test_five_models_bounded_scratch_memory(self, five_models):
+        # A full (21, 21, 12720) table of the 12720 filter pairs would be
+        # 43 MiB on its own.
+        assert peak(lambda: filter_distance_matrix(five_models)) < 24 * 2**20
 
     def test_order_invariance_up_to_relabeling(self, models):
         a = filter_distance_matrix([models[0], models[1]], ["x", "y"])

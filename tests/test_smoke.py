@@ -26,6 +26,20 @@ def test_dtw_check_fails_one_ulp_off(tmp_path, monkeypatch):
     assert passed is False and detail.startswith("mismatch on lengths")
 
 
+def test_dtw_check_fails_batched_one_ulp_off(tmp_path, monkeypatch):
+    # Only stacks of several pairs are nudged, so the scalar comparisons
+    # pass and the batched one must catch it.
+    real = diversity._dtw_batch
+
+    def nudged(left, right):
+        out = real(left, right)
+        return np.nextafter(out, np.inf) if out.size > 1 else out
+
+    monkeypatch.setattr(diversity, "_dtw_batch", nudged)
+    passed, detail = CHECKS["dtw-oracle"](tmp_path)
+    assert passed is False and detail.startswith("batched mismatch on lengths 3x20")
+
+
 def test_wilcoxon_check_fails_p_1e15_off(tmp_path, monkeypatch):
     real = evaluation.wilcoxon_signed_rank
 
