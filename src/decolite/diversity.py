@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrayio import write_json, write_text
 from .errors import ConfigError, InputError, NumericError, UsageError
-from .model import LiteModel, _eval_chunks, extract_final_filters
+from .model import LiteModel, _eval_outputs, extract_final_filters
 
 __all__ = [
     "FeatureStats",
@@ -59,12 +59,15 @@ def feature_statistics(model: LiteModel, x: np.ndarray,
 
     Features are the per-channel time averages of the final block's
     output, one vector per sample. The forwards run in chunks, so memory
-    does not grow with the number of samples.
+    does not grow with the number of samples. The pooled features come
+    from ``_eval_outputs``, which memoizes the model's last eval pass on
+    it: after :func:`evaluation.ensemble_accuracy` over the same values in
+    the same state, no forward runs here.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] < 2:
         raise UsageError("feature statistics need at least two samples")
-    pooled = np.concatenate([feats.mean(axis=2) for _, _, feats in _eval_chunks(model, x)])
+    pooled = _eval_outputs(model, x)[1]
     mu = pooled.mean(axis=0)
     sigma = np.cov(pooled, rowvar=False, ddof=1)
     return FeatureStats(model_id=model_id, mu=mu, sigma=np.atleast_2d(sigma),

@@ -17,7 +17,7 @@ import numpy as np
 from .arrayio import write_json, write_text
 from .data import TimeSeriesDataset
 from .errors import ConfigError, FormatError, InputError, UsageError
-from .model import LiteModel, _eval_chunks
+from .model import LiteModel, _eval_outputs
 
 __all__ = [
     "ensemble_predict",
@@ -40,7 +40,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _model_probs(model: LiteModel, x: np.ndarray) -> np.ndarray:
-    return np.concatenate([_softmax(logits) for _, logits, _ in _eval_chunks(model, x)])
+    return _softmax(_eval_outputs(model, x)[0])
 
 
 def _member_probs(models: list[LiteModel], x) -> np.ndarray:
@@ -92,10 +92,11 @@ def _split_probs(models: list[LiteModel], ds: TimeSeriesDataset) -> np.ndarray:
 def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
     """(ensemble accuracy, per-member accuracies) on one dataset split.
 
-    Each member runs one forward over the split; the ensemble mean is
-    built from those same outputs exactly as :func:`ensemble_predict`
-    builds it. Members trained for another class count than the split's
-    are a :class:`ConfigError`.
+    Each member runs at most one forward over the split: none when it last
+    ran over the same values in the same state, as ``_eval_outputs`` keeps
+    its logits. The ensemble mean is built from those outputs exactly as
+    :func:`ensemble_predict` builds it. Members trained for another class
+    count than the split's are a :class:`ConfigError`.
     """
     stacked = _split_probs(models, ds)
     members = [accuracy(p.argmax(axis=1), ds.y) for p in stacked]
@@ -104,8 +105,13 @@ def ensemble_accuracy(models: list[LiteModel], ds: TimeSeriesDataset):
 
 
 def prefix_accuracies(models: list[LiteModel], ds: TimeSeriesDataset) -> list[float]:
-    """Accuracies on ``ds`` of the ensembles ``models[:1]``, ``models[:2]``, ...:
-    one forward per member, each mean built exactly as by :func:`ensemble_predict`."""
+    """Accuracies on ``ds`` of the ensembles ``models[:1]``, ``models[:2]``, ...,
+    each mean built exactly as by :func:`ensemble_predict`.
+
+    Each member runs at most one forward; its logits and pooled features
+    stay memoized on it, so a following :func:`ensemble_accuracy` or
+    ``diversity.feature_statistics`` over the same split forwards nothing.
+    """
     stacked = _split_probs(models, ds)
     return [accuracy(_sorted_mean(stacked[:k].copy()).argmax(axis=1), ds.y)
             for k in range(1, len(models) + 1)]

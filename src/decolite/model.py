@@ -16,10 +16,21 @@ post-activation output of the third block is exposed alongside the
 logits; the decorrelated-training loss operates on that feature map, and
 with the default configuration its 32 depthwise filters of length 20 are
 what the diversity analysis compares across models.
+
+Scoring and the diversity analysis read the same eval pass over a split:
+the logits and the time-pooled final-block features. ``_eval_outputs``
+keeps the last such pair on the model, keyed by ``model_checksum`` and a
+sha256 of the input's shape and bytes. The eval forward is a pure
+function of parameters, buffers and input, and the key covers all three
+by content, so an optimizer step, ``load_state_arrays`` or an input
+changed in place gives a new key and a fresh pass; nothing has to
+invalidate the entry. It holds N x (classes + n_filters) floats, whatever
+the series length: about 2 MiB at the largest UCR test split.
 """
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 
@@ -187,6 +198,7 @@ class LiteModel:
                                              fan_out=n_classes), requires_grad=True)
         self.head_b = Tensor(np.zeros(n_classes), requires_grad=True)
         self._custom_tensors = [Tensor(bank) for _, bank in self.custom_filters.banks]
+        self._eval_memo = None  # (key, logits, pooled) of the last _eval_outputs pass
 
     # -- forward ---------------------------------------------------------
 
@@ -323,6 +335,27 @@ def _eval_chunks(model: LiteModel, x):
         rows = slice(start, start + step)
         logits, feats = model.forward(x[rows], mode="eval")
         yield rows, logits.data, feats.data
+
+
+def _eval_outputs(model: LiteModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Logits (N, Cls) and time-pooled final-block features (N, C) of one
+    chunked eval pass over ``x``, both read-only.
+
+    The pair is kept on ``model`` under the key (``model_checksum``,
+    sha256 of ``x``'s shape and bytes), so a second call with the same
+    state and the same input values returns it without a forward.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    digest = hashlib.sha256(str(x.shape).encode("ascii"))
+    digest.update(x)
+    key = (model_checksum(model), digest.hexdigest())
+    if model._eval_memo is not None and model._eval_memo[0] == key:
+        return model._eval_memo[1:]
+    chunks = [(logits, feats.mean(axis=2)) for _, logits, feats in _eval_chunks(model, x)]
+    logits, pooled = (np.concatenate(parts) for parts in zip(*chunks))
+    logits.flags.writeable = pooled.flags.writeable = False
+    model._eval_memo = (key, logits, pooled)
+    return logits, pooled
 
 
 def extract_final_filters(model: LiteModel) -> np.ndarray:

@@ -310,6 +310,8 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         record = _train_record(ds, config, prev_models)
         save_model(model, out_dir / "checkpoint_last.ckpt", record)
         log.to_csv(out_dir / "train_log.csv")
+    # The last step's gradients belong to parameters that best_state replaces.
+    opt.zero_grad()
     model.load_state_arrays(best_state)
     if out_dir is not None:
         save_model(model, out_dir / "checkpoint_best.ckpt", record)

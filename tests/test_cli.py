@@ -1,5 +1,7 @@
 """Command-line contracts: layouts, manifests, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -302,18 +304,28 @@ class TestDiversityCommand:
         assert header.startswith("filter,model0:0")
 
 
+@pytest.fixture(scope="class")
+def smoke_run(tmp_path_factory):
+    """(exit code, stdout lines, output root) of one clean smoke run, shared
+    by the tests that only read it: the battery takes seconds."""
+    root = tmp_path_factory.mktemp("smoke") / "runs"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(["smoke", "--out", str(root)])
+    return code, out.getvalue().splitlines(), root
+
+
 class TestSmokeCommand:
-    def test_passes_and_prints_table(self, tmp_path, capsys):
-        assert dispatch(["smoke", "--out", str(tmp_path / "runs")]) == 0
-        lines = capsys.readouterr().out.splitlines()
+    def test_passes_and_prints_table(self, smoke_run):
+        code, lines, root = smoke_run
+        assert code == 0
         passes = [ln for ln in lines if ln.startswith("[PASS]")]
         assert len(passes) == 13
-        report = json.loads((tmp_path / "runs" / "smoke" / "smoke_report.json").read_text())
+        report = json.loads((root / "smoke" / "smoke_report.json").read_text())
         assert report["passed"] is True
 
-    def test_repeat_invocation_identical_table(self, tmp_path, capsys):
-        dispatch(["smoke", "--out", str(tmp_path / "a")])
-        first = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    def test_repeat_invocation_identical_table(self, smoke_run, tmp_path, capsys):
+        first = [ln for ln in smoke_run[1] if ln.startswith("[")]
         dispatch(["smoke", "--out", str(tmp_path / "b")])
         second = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
         assert first == second

@@ -8,7 +8,7 @@ from decolite.errors import ConfigError, FormatError, InputError, UsageError
 from decolite import evaluation
 from decolite.evaluation import (ResultsTable, accuracy, ensemble_accuracy, ensemble_predict,
                                  format_p_value, mcm, wilcoxon_signed_rank)
-from decolite.model import LiteArchitectureConfig, LiteModel, init_model
+from decolite.model import LiteArchitectureConfig, LiteModel, init_model, load_model, save_model
 from decolite.oracles import wilcoxon_enumerate
 
 
@@ -71,12 +71,17 @@ class TestEnsemblePredict:
 
 
 class TestEnsembleAccuracy:
-    def test_one_forward_per_member_same_results(self, models, monkeypatch):
+    def test_one_forward_per_member_same_results(self, models, monkeypatch, tmp_path):
         ds = synthetic_trend_dataset(n=10, length=24, seed=5)
         probs = ensemble_predict(models, ds.X)
         want_ens = accuracy(probs.argmax(axis=1), ds.y)
         want_members = [accuracy(evaluation._model_probs(m, ds.X).argmax(axis=1), ds.y)
                         for m in models]
+        # ensemble_predict memoized the fixture's passes, so count on
+        # freshly loaded members, which hold none.
+        for i, m in enumerate(models):
+            save_model(m, tmp_path / f"m{i}.ckpt")
+        loaded = [load_model(tmp_path / f"m{i}.ckpt") for i in range(len(models))]
 
         calls = []
         real_forward = LiteModel.forward
@@ -86,9 +91,12 @@ class TestEnsembleAccuracy:
             return real_forward(self, x, mode=mode)
 
         monkeypatch.setattr(LiteModel, "forward", counting_forward)
-        ens, members = ensemble_accuracy(models, ds)
+        ens, members = ensemble_accuracy(loaded, ds)
         assert calls == ["eval"] * len(models)
         assert ens == want_ens and members == want_members
+        # A repeat call over the same values forwards nothing.
+        assert ensemble_accuracy(loaded, ds) == (ens, members)
+        assert calls == ["eval"] * len(models)
 
 
 class TestAccuracy:

@@ -143,8 +143,11 @@ class TestScoring:
 
         monkeypatch.setattr(LiteModel, "forward", counting_forward)
         accs, _, _ = script.run_dataset("Good", root, out, TrainConfig(epochs=1), 1)
-        # Five members per chain, plus three feature_statistics forwards.
-        assert len(test_forwards) == 2 * 5 + 3
+        # Five members per chain. feature_statistics forwards nothing: each
+        # member it reads (base0, base1, deco1) keeps the logits and pooled
+        # features of its prefix_accuracies pass. The deco chain's base0 is
+        # reloaded from disk, a separate instance, so it forwards again.
+        assert len(test_forwards) == 2 * 5
 
         mdir = out / "models" / "Good" / "run0"
         base = [load_model(mdir / f"base{i}" / "checkpoint_best.ckpt") for i in range(5)]

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 from decolite import arrayio
+from decolite import model as model_mod
 from decolite import tensor as T
+from decolite.data import synthetic_trend_dataset
+from decolite.diversity import feature_statistics
 from decolite.errors import CheckpointError, ConfigError, ShapeError
+from decolite.evaluation import ensemble_accuracy, ensemble_predict, prefix_accuracies
 from decolite.model import (INCEPTIONTIME_REFERENCE_PARAM_COUNT, LiteArchitectureConfig,
-                            build_custom_filters, extract_final_filters, init_model,
-                            load_model, model_checksum, param_count, ratio_vs_reference,
-                            save_model)
+                            LiteModel, _eval_outputs, build_custom_filters,
+                            extract_final_filters, init_model, load_model, model_checksum,
+                            param_count, ratio_vs_reference, save_model)
 from decolite.optim import Adam
 from decolite.oracles import conv1d_direct
 from decolite.tensor import backward, softmax_cross_entropy
@@ -368,3 +372,99 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert model_checksum(load_model(path)) == model_checksum(old)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class TestEvalMemo:
+    """_eval_outputs keeps a model's last eval pass, keyed by state and input."""
+
+    @staticmethod
+    def _members():
+        rng = np.random.default_rng(7)
+        out = []
+        for seed in range(3):
+            m = init_model(LiteArchitectureConfig(), 2, seed)
+            m.forward(rng.normal(size=(4, 1, 40)), mode="train")  # move the buffers
+            out.append(m)
+        return out
+
+    @staticmethod
+    def _copy(m):
+        fresh = init_model(m.config, m.n_classes, m.seed)
+        fresh.load_state_arrays(m.state_arrays())
+        return fresh
+
+    @staticmethod
+    def _count_forwards(monkeypatch):
+        calls = []
+        real_forward = LiteModel.forward
+
+        def counting_forward(self, x, mode="eval"):
+            calls.append(mode)
+            return real_forward(self, x, mode=mode)
+
+        monkeypatch.setattr(LiteModel, "forward", counting_forward)
+        return calls
+
+    @staticmethod
+    def _digest(get_members, ds):
+        h = hashlib.sha256()
+        h.update(ensemble_predict(get_members(), ds.X).tobytes())
+        h.update(repr(ensemble_accuracy(get_members(), ds)).encode())
+        h.update(repr(prefix_accuracies(get_members(), ds)).encode())
+        for m in get_members():
+            s = feature_statistics(m, ds.X)
+            h.update(s.mu.tobytes())
+            h.update(s.sigma.tobytes())
+        return h.hexdigest()
+
+    def test_warm_and_cold_members_give_the_pinned_bits(self, monkeypatch):
+        # Five rows per chunk, so the 12-row split crosses three chunks.
+        monkeypatch.setattr(model_mod, "_EVAL_CHUNK_BYTES", 5 * 8 * 113 * 40)
+        ds = synthetic_trend_dataset(n=12, length=40, seed=3, split="test")
+        warm = self._members()
+        calls = self._count_forwards(monkeypatch)
+        # Computed before the memo existed, when every call forwarded afresh.
+        pinned = "c15b58625b2c7dccfa3fc19ae8d0720198616c5f41a0b34add2fea03d616a407"
+        assert self._digest(lambda: warm, ds) == pinned
+        # Each member crossed the split once, in ensemble_predict.
+        assert calls == ["eval"] * 3 * 3
+        assert self._digest(lambda: [self._copy(m) for m in warm], ds) == pinned
+
+    @pytest.mark.parametrize("change", ["parameter", "bn-buffer", "input-values",
+                                        "input-shape"])
+    def test_recomputes_after_an_in_place_change(self, monkeypatch, change):
+        m = self._members()[0]
+        x = synthetic_trend_dataset(n=12, length=40, seed=3, split="test").X.copy()
+        _eval_outputs(m, x)
+        if change == "parameter":
+            m.dw2.data[0, 0, 0] += 1e-3
+        elif change == "bn-buffer":
+            m._bn[2]["mean"][0] += 0.1
+        elif change == "input-values":
+            x[0, 0, 0] += 1.0
+        else:
+            x = x.reshape(24, 1, 20)  # the same bytes
+        cold = self._copy(m).forward(x, mode="eval")
+        calls = self._count_forwards(monkeypatch)
+        logits, pooled = _eval_outputs(m, x)
+        assert calls == ["eval"]
+        assert np.array_equal(logits, cold[0].data)
+        assert np.array_equal(pooled, cold[1].data.mean(axis=2))
+        assert _eval_outputs(m, x)[0] is logits and calls == ["eval"]
+
+    def test_returned_arrays_are_read_only(self):
+        m = self._members()[0]
+        x = synthetic_trend_dataset(n=4, length=40, seed=3, split="test").X
+        for out in (_eval_outputs(m, x), _eval_outputs(m, x)):
+            for a in out:
+                with pytest.raises(ValueError):
+                    a[0, 0] = 0.0
+
+    def test_memo_does_not_grow_with_series_length(self):
+        m = self._members()[0]
+        sizes = []
+        for length in (64, 512):
+            _eval_outputs(m, synthetic_trend_dataset(n=6, length=length, seed=3).X)
+            _, logits, pooled = m._eval_memo
+            sizes.append(logits.nbytes + pooled.nbytes)
+        assert sizes[0] == sizes[1] == 6 * (2 + 32) * 8

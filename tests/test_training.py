@@ -341,6 +341,16 @@ class TestBuildEnsemble:
         # Members 0-2 once each; the last member is never a predecessor.
         assert rows == [ds.n] * 3
 
+    def test_members_keep_no_gradients(self):
+        # The last step's gradients belong to the parameters that the best
+        # state replaces; dropping them must leave every bit of the member.
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        build = build_ensemble(ds, _quick(epochs=3, batch_size=6), size=3, kind="deco")
+        assert all(p.grad is None for m in build.models for p in m.trainable_parameters())
+        # Computed when the gradients were still kept.
+        assert [model_checksum(m)[:16] for m in build.models] == \
+            ["dd1e87b22c05ec9e", "aa1d2bd86a64abbe", "f475f48223dd94b1"]
+
     def test_deco_chain_matches_hand_built_chain(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
         cfg = _quick(epochs=3, batch_size=6)
