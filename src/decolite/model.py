@@ -25,7 +25,8 @@ function of parameters, buffers and input, and the key covers all three
 by content, so an optimizer step, ``load_state_arrays`` or an input
 changed in place gives a new key and a fresh pass; nothing has to
 invalidate the entry. It holds N x (classes + n_filters) floats, whatever
-the series length: about 2 MiB at the largest UCR test split.
+the series length: 7.2 MiB at the largest UCR test split (Crop, 16800
+series, 24 classes).
 """
 
 from __future__ import annotations
