@@ -38,6 +38,7 @@ import numpy as np
 from decolite.arrayio import write_atomic, write_json
 from decolite.data import load_dataset, resolve_data_root
 from decolite.diversity import feature_statistics, fid
+from decolite.errors import ConfigError
 from decolite.evaluation import (ResultsTable, format_p_value, mcm, prefix_accuracies,
                                  wilcoxon_signed_rank)
 from decolite.training import TrainConfig, build_ensemble
@@ -78,6 +79,13 @@ def main(argv=None):
     ap.add_argument("--epochs", type=int, default=1500)
     ap.add_argument("--alpha", type=float, default=0.5)
     args = ap.parse_args(argv)
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    cfg = TrainConfig(epochs=args.epochs, alpha=args.alpha)
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     root = resolve_data_root(args.data_root)
     if root is None:
@@ -93,7 +101,6 @@ def main(argv=None):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = TrainConfig(epochs=args.epochs, alpha=args.alpha)
 
     rows, fid_pairs, failures = {}, {}, []
     for i, name in enumerate(names):

@@ -24,7 +24,7 @@ from .data import (TimeSeriesDataset, load_ucr_split, load_dataset, z_normalize,
                    synthetic_trend_dataset)
 from .training import (TrainConfig, TrainLog, orthogonality_loss,
                        sequential_orthogonality_loss, total_loss, train_base,
-                       train_decorrelated, build_ensemble)
+                       build_ensemble)
 from .evaluation import (ensemble_predict, ensemble_accuracy, accuracy, prefix_accuracies,
                          wilcoxon_signed_rank, ResultsTable, MCMReport, mcm)
 from .diversity import (FeatureStats, feature_statistics, fid, dtw,

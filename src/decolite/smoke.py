@@ -25,7 +25,7 @@ from .data import synthetic_trend_dataset
 from .model import (LiteArchitectureConfig, init_model, load_model, model_checksum,
                     save_model)
 from .oracles import dtw_dp, dtw_enumerate, fd_max_rel_err, wilcoxon_enumerate
-from .training import TrainConfig, train_base, train_decorrelated
+from .training import TrainConfig, build_ensemble, train_base
 
 __all__ = ["SmokeCheck", "run_smoke", "SMOKE_CHECKS"]
 
@@ -259,13 +259,15 @@ def _check_checkpoint_roundtrip(out_dir):
 
 
 def _check_frozen_and_paired(out_dir):
+    # Training is deterministic, so a reference trained alone holds the
+    # bits the chain's reference must keep while member 1 trains against it.
     ds = synthetic_trend_dataset(n=16, length=16, seed=2)
-    ref, _ = train_base(ds, _quick_config(seed=0, epochs=15))
-    before = model_checksum(ref)
-    paired_init = model_checksum(init_model(ref.config, ds.n_classes, 1))
-    deco, _ = train_decorrelated(ds, _quick_config(seed=1, epochs=15), [ref])
+    cfg = _quick_config(epochs=15)
+    alone, _ = train_base(ds, cfg)
+    paired_init = model_checksum(init_model(alone.config, ds.n_classes, 1))
+    ref, deco = build_ensemble(ds, cfg, 2, "deco", seeds=[0, 1]).models
     problems = []
-    if model_checksum(ref) != before:
+    if model_checksum(ref) != model_checksum(alone):
         problems.append("frozen predecessor changed")
     if model_checksum(init_model(ref.config, ds.n_classes, 1)) != paired_init:
         problems.append("same-seed init not reproducible")
@@ -276,9 +278,9 @@ def _check_frozen_and_paired(out_dir):
 
 def _check_alpha_one(out_dir):
     ds = synthetic_trend_dataset(n=16, length=16, seed=3)
-    ref, _ = train_base(ds, _quick_config(seed=0, epochs=10))
     base, _ = train_base(ds, _quick_config(seed=6, epochs=40))
-    deco, _ = train_decorrelated(ds, _quick_config(seed=6, epochs=40, alpha=1.0), [ref])
+    deco = build_ensemble(ds, _quick_config(epochs=40, alpha=1.0), 2, "deco",
+                          seeds=[0, 6]).models[1]
     ok = model_checksum(base) == model_checksum(deco)
     return ok, "bit-identical to plain training" if ok else "parameters differ"
 

@@ -43,7 +43,6 @@ __all__ = [
     "sequential_orthogonality_loss",
     "total_loss",
     "train_base",
-    "train_decorrelated",
     "build_ensemble",
     "EnsembleBuild",
 ]
@@ -179,16 +178,6 @@ def total_loss(ce, orth, alpha: float) -> Tensor:
 # training loops
 
 
-def _check_feature_compat(model: LiteModel, prev: list[LiteModel]) -> None:
-    for i, p in enumerate(prev):
-        if p.config.n_filters != model.config.n_filters:
-            raise ConfigError(f"previous model {i} produces {p.config.n_filters} feature "
-                              f"channels, the new model produces {model.config.n_filters}")
-        if p.n_classes != model.n_classes:
-            raise ConfigError(f"previous model {i} was trained with {p.n_classes} classes, "
-                              f"dataset has {model.n_classes}")
-
-
 def _feature_buffer(ds: TimeSeriesDataset, channels: int) -> np.ndarray:
     """An uninitialised (N, channels, T) float64 array over an unnamed
     temporary file in the system temp directory (``TMPDIR``), freed when
@@ -271,10 +260,7 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "checkpoint_best.ckpt").unlink(missing_ok=True)
-    frozen = None
-    if prev_models:
-        _check_feature_compat(model, prev_models)
-        frozen = _frozen_features(prev_models, ds, buf, start)
+    frozen = _frozen_features(prev_models, ds, buf, start) if prev_models else None
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -331,40 +317,21 @@ def _train_record(ds: TimeSeriesDataset, config: TrainConfig,
             "predecessors": [model_checksum(p) for p in prev_models]}
 
 
-def train_base(ds: TimeSeriesDataset, config: TrainConfig,
-               arch: LiteArchitectureConfig | None = None, out_dir=None):
+def train_base(ds: TimeSeriesDataset, config: TrainConfig, out_dir=None):
     """Train one model with cross-entropy only; returns the best checkpoint.
 
     The log's orthogonality column is zero throughout. When ``out_dir`` is
     given, best/last checkpoints and the log CSV are written there.
     """
-    arch = arch or LiteArchitectureConfig()
-    model = init_model(arch, ds.n_classes, config.seed)
+    model = init_model(LiteArchitectureConfig(), ds.n_classes, config.seed)
     return _train_loop(ds, config, model, [], out_dir)
 
 
-def train_decorrelated(ds: TimeSeriesDataset, config: TrainConfig,
-                       prev_models: list[LiteModel],
-                       arch: LiteArchitectureConfig | None = None, out_dir=None):
-    """Train one model whose features are pushed orthogonal to earlier models.
-
-    ``prev_models`` stay frozen: their features are computed in eval mode
-    with no gradient and their parameters are untouched. The new model is
-    seeded from ``config.seed``, which callers pair with the seed of the
-    corresponding plain model so that both start bit-identical.
-    """
-    if not prev_models:
-        raise UsageError("decorrelated training requires at least one previous model")
-    arch = arch or prev_models[0].config
-    model = init_model(arch, ds.n_classes, config.seed)
-    return _train_loop(ds, config, model, list(prev_models), out_dir,
-                       _feature_buffer(ds, len(prev_models) * arch.n_filters))
-
-
 def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
-              prev_models: list[LiteModel], arch: LiteArchitectureConfig):
+              prev_models: list[LiteModel]):
     """The finished member in ``out_dir`` if it records the training record
-    this member would get and fits ``arch`` and ``ds``, else None."""
+    this member would get and fits the default architecture and ``ds``,
+    else None."""
     path = Path(out_dir) / "checkpoint_best.ckpt" if out_dir is not None else None
     if path is None or not path.is_file():
         return None
@@ -372,7 +339,8 @@ def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
         model = load_model(path, _train_record(ds, config, prev_models))
     except CheckpointError:
         return None
-    return model if (model.config, model.n_classes) == (arch, ds.n_classes) else None
+    fits = model.config == LiteArchitectureConfig() and model.n_classes == ds.n_classes
+    return model if fits else None
 
 
 @dataclass
@@ -383,14 +351,17 @@ class EnsembleBuild:
 
 
 def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
-                   kind: str, arch: LiteArchitectureConfig | None = None,
-                   seeds: list[int] | None = None, out_dirs=None) -> EnsembleBuild:
+                   kind: str, seeds: list[int] | None = None,
+                   out_dirs=None) -> EnsembleBuild:
     """Train a ``size``-member ensemble of the given kind.
 
     "base" trains every member independently with cross-entropy, one seed
     per member. "deco" trains the first seed's member with cross-entropy
     as the fixed reference, then each further member sequentially with the
-    orthogonality penalty against all members before it. The chain keeps
+    orthogonality penalty against all members before it. This is the only
+    way to train a member against predecessors. Chains that name the same
+    directory for their first member share one reference: the first chain
+    trains it there and the others reload it (see below). The chain keeps
     its members' training-set maps in one (N, (size-1)*C, T) buffer in an
     unnamed temporary file, whose space is reserved before the first member
     trains (OSError when the temp directory lacks it); each member's maps
@@ -418,7 +389,7 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     if out_dirs is not None and len(out_dirs) != size:
         raise ConfigError("out_dirs must name one directory per member")
 
-    arch = arch or LiteArchitectureConfig()
+    arch = LiteArchitectureConfig()
     models: list[LiteModel] = []
     logs: list[TrainLog | None] = []
     buf = _feature_buffer(ds, (size - 1) * arch.n_filters) if kind == "deco" and size > 1 else None
@@ -426,7 +397,7 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
         prev = models.copy() if kind == "deco" else []
-        model, log = _reusable(out_dir, ds, member_cfg, prev, arch), None
+        model, log = _reusable(out_dir, ds, member_cfg, prev), None
         if model is None:
             model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
                                      prev, out_dir, buf, filled)

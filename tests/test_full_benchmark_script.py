@@ -3,7 +3,6 @@
 import ast
 import csv
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from decolite import training
 from decolite.data import load_dataset, synthetic_trend_dataset
 from decolite.evaluation import accuracy, ensemble_predict
 from decolite.model import LiteModel, load_model, model_checksum
-from decolite.training import TrainConfig, build_ensemble, train_decorrelated
+from decolite.training import TrainConfig, build_ensemble
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPT = SCRIPTS / "run_full_benchmark.py"
@@ -90,6 +89,21 @@ class TestResume:
         for n in names:
             assert model_checksum(load_model(mdir / n / "checkpoint_best.ckpt")) != before[n]
             assert len((mdir / n / "train_log.csv").read_text().splitlines()) == 1 + 30
+
+
+class TestArguments:
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--epochs", "0"], ["--alpha", "1.5"]])
+    def test_bad_value_is_usage_error_before_any_output(self, script, tmp_path, flags):
+        root = tmp_path / "archive"
+        _write_ucr(root / "Good" / "Good_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
+        _write_ucr(root / "Good" / "Good_TEST.tsv",
+                   synthetic_trend_dataset(n=6, length=16, split="test"))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            script.main(["--data-root", str(root), "--out", str(out), "--datasets", "Good"]
+                        + flags)
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestFailureReport:
@@ -183,12 +197,10 @@ class TestScoring:
 
         mdir = out / "models" / "Good" / "run0"
         ds, _ = load_dataset(root, "Good")
-        chain = [load_model(mdir / "base0" / "checkpoint_best.ckpt")]
+        chain = build_ensemble(ds, cfg, 5, "deco").models
         for i in range(1, 5):
-            member, _ = train_decorrelated(ds, replace(cfg, seed=i), chain)
             assert model_checksum(load_model(mdir / f"deco{i}" / "checkpoint_best.ckpt")) \
-                == model_checksum(member)
-            chain.append(member)
+                == model_checksum(chain[i])
 
         # A rerun over a missing middle checkpoint retrains it against loaded
         # predecessors, forwarding each of them once.

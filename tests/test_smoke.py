@@ -64,3 +64,24 @@ def test_failing_check_fails_its_criterion(tmp_path, monkeypatch):
         test_acceptance.test_criterion_2_loss_algebra(tmp_path)
     message = str(excinfo.value)
     assert "loss-algebra" in message and "alpha blend arithmetic off" in message
+
+
+def test_frozen_check_fails_on_a_one_ulp_predecessor_change(tmp_path, monkeypatch):
+    real = training._frozen_features
+
+    def nudging(prev, *args):
+        prev[0].head_b.data[0] = np.nextafter(prev[0].head_b.data[0], np.inf)
+        return real(prev, *args)
+
+    monkeypatch.setattr(training, "_frozen_features", nudging)
+    assert CHECKS["frozen-and-paired"](tmp_path) == (False, "frozen predecessor changed")
+
+
+def test_alpha_one_check_fails_one_ulp_off(tmp_path, monkeypatch):
+    real = training.total_loss
+
+    def scaled(ce, orth, alpha):
+        return ce * (1 + 2**-52) if alpha == 1.0 else real(ce, orth, alpha)
+
+    monkeypatch.setattr(training, "total_loss", scaled)
+    assert CHECKS["alpha-one-degeneracy"](tmp_path) == (False, "parameters differ")

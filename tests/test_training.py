@@ -3,7 +3,6 @@
 import errno
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +11,10 @@ import pytest
 from decolite import training as training_mod
 from decolite.data import batch_indices, synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
-from decolite.model import (LiteArchitectureConfig, LiteModel, init_model, model_checksum,
-                            save_model)
+from decolite.model import LiteModel, model_checksum, save_model
 from decolite.tensor import Tensor, backward
 from decolite.training import (TrainConfig, TrainLog, build_ensemble, orthogonality_loss,
-                               sequential_orthogonality_loss, total_loss, train_base,
-                               train_decorrelated)
+                               sequential_orthogonality_loss, total_loss, train_base)
 
 
 @pytest.fixture
@@ -199,11 +196,6 @@ class TestTrainBase:
 
 
 class TestTrainDecorrelated:
-    def test_requires_previous_models(self):
-        ds = synthetic_trend_dataset(n=16, length=16, seed=0)
-        with pytest.raises(UsageError):
-            train_decorrelated(ds, _quick(seed=1), [])
-
     def test_seed_pairing_starts_bit_identical(self, monkeypatch):
         ds = synthetic_trend_dataset(n=16, length=16, seed=2)
         initial = []
@@ -215,35 +207,19 @@ class TestTrainDecorrelated:
             return m
 
         monkeypatch.setattr(training_mod, "init_model", spying_init)
-        ref, _ = train_base(ds, _quick(seed=0, epochs=2))
-        train_base(ds, _quick(seed=7, epochs=2))
-        train_decorrelated(ds, _quick(seed=7, epochs=2), [ref])
-        twin_base, twin_deco = initial[1], initial[2]
+        build_ensemble(ds, _quick(epochs=2), 2, "base", seeds=[0, 7])
+        build_ensemble(ds, _quick(epochs=2), 2, "deco", seeds=[0, 7])
+        twin_base, twin_deco = initial[1], initial[3]
         assert twin_base[0] == twin_deco[0] == 7
         assert twin_base[1] == twin_deco[1]
 
-    def test_orth_column_is_populated(self):
-        ds = synthetic_trend_dataset(n=16, length=16, seed=2)
-        ref, _ = train_base(ds, _quick(seed=0, epochs=8))
-        _, log = train_decorrelated(ds, _quick(seed=1, epochs=8), [ref])
-        assert all(r.orth_loss > 0.0 for r in log.records)
-
-    def test_feature_width_mismatch_rejected(self):
-        ds = synthetic_trend_dataset(n=16, length=16, seed=1)
-        slim = LiteArchitectureConfig(n_filters=16)
-        ref, _ = train_base(ds, _quick(seed=0, epochs=2), arch=slim)
-        with pytest.raises(ConfigError):
-            train_decorrelated(ds, _quick(seed=1, epochs=2), [ref],
-                               arch=LiteArchitectureConfig())
-
     def test_peak_memory_is_a_few_activations(self):
         ds = synthetic_trend_dataset(n=8, length=256, seed=0)
-        ref = init_model(LiteArchitectureConfig(), ds.n_classes, 0)
         activation = 8 * (32 * 3 + 17) * 256 * 8  # one 113-channel float64 map
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            train_decorrelated(ds, TrainConfig(epochs=3, batch_size=8, seed=1), [ref])
+            build_ensemble(ds, TrainConfig(epochs=3, batch_size=8), 2, "deco")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -254,12 +230,13 @@ class TestTrainDecorrelated:
 
 
 @pytest.fixture(scope="module")
-def decorrelation_runs():
+def decorrelation_runs(tmp_path_factory):
     """Each of five same-seed (plain, decorrelated) twins' orthogonality
     loss against one reference."""
     from conftest import train_twins
     train = synthetic_trend_dataset(n=32, length=96, seed=0)
-    twins = train_twins(train, lambda s: TrainConfig(epochs=100, batch_size=64, seed=s))
+    twins = train_twins(train, TrainConfig(epochs=100, batch_size=64),
+                        tmp_path_factory.mktemp("twins"))
 
     def eval_features(m):
         _, f = m.forward(train.X, mode="eval")
@@ -271,6 +248,21 @@ def decorrelation_runs():
         "orth_deco": orthogonality_loss(eval_features(p["deco"]), ref_feats).item(),
         "orth_plain": orthogonality_loss(eval_features(p["base"]), ref_feats).item(),
     } for p in twins["pairs"]]
+
+
+def test_twins_keep_their_bits(tmp_path):
+    from conftest import train_twins
+    ds = synthetic_trend_dataset(n=16, length=16)
+    twins = train_twins(ds, TrainConfig(epochs=2, batch_size=16), tmp_path)
+    # Computed when each twin was trained on its own, with its own buffer.
+    assert model_checksum(twins["ref"])[:16] == twins["ref_checksum"][:16] == \
+        "3c51038e877cb04f"
+    assert [model_checksum(p["base"])[:16] for p in twins["pairs"]] == \
+        ["9de68aabc73e0a7a", "d12a8dd41dc8d5df", "b2909717bf7f369b", "57a99b1fec90e564",
+         "78d49a8a242534b3"]
+    assert [model_checksum(p["deco"])[:16] for p in twins["pairs"]] == \
+        ["5f133c759b728e84", "a21866809b2d0151", "9b0ed2319bef620f", "35feab6c92233290",
+         "b170db0f10d030b0"]
 
 
 class TestDecorrelationEffect:
@@ -345,21 +337,11 @@ class TestBuildEnsemble:
         # The last step's gradients belong to the parameters that the best
         # state replaces; dropping them must leave every bit of the member.
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
-        build = build_ensemble(ds, _quick(epochs=3, batch_size=6), size=3, kind="deco")
+        build = build_ensemble(ds, _quick(epochs=3, batch_size=6), size=4, kind="deco")
         assert all(p.grad is None for m in build.models for p in m.trainable_parameters())
         # Computed when the gradients were still kept.
         assert [model_checksum(m)[:16] for m in build.models] == \
-            ["dd1e87b22c05ec9e", "aa1d2bd86a64abbe", "f475f48223dd94b1"]
-
-    def test_deco_chain_matches_hand_built_chain(self):
-        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
-        cfg = _quick(epochs=3, batch_size=6)
-        chain = [train_base(ds, replace(cfg, seed=0))[0]]
-        for seed in (1, 2, 3):
-            chain.append(train_decorrelated(ds, replace(cfg, seed=seed), chain.copy())[0])
-        build = build_ensemble(ds, cfg, size=4, kind="deco")
-        assert [model_checksum(m) for m in build.models] == \
-            [model_checksum(m) for m in chain]
+            ["dd1e87b22c05ec9e", "aa1d2bd86a64abbe", "f475f48223dd94b1", "7f16eaf16e3ee1a9"]
 
     def test_each_step_gathers_the_predecessors_batch_forwards(self, monkeypatch):
         # The chain forwards the training set once per member, in chunks;
