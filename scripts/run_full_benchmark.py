@@ -55,10 +55,11 @@ def run_dataset(name, root, out, cfg, n_runs):
         mdir = out / "models" / name / f"run{run}"
         base_models = build_ensemble(train_ds, cfg, 5, "base", seeds=seeds,
                                      out_dirs=[mdir / f"base{i}" for i in range(5)]).models
-        # The chain's reference is base member 0, reloaded from its directory.
-        deco_models = build_ensemble(
+        # The chain reloads base member 0 from its directory, with the same bits,
+        # and is scored with the base build's instance, which holds its eval pass.
+        deco_models = base_models[:1] + build_ensemble(
             train_ds, cfg, 5, "deco", seeds=seeds,
-            out_dirs=[mdir / "base0"] + [mdir / f"deco{i}" for i in range(1, 5)]).models
+            out_dirs=[mdir / "base0"] + [mdir / f"deco{i}" for i in range(1, 5)]).models[1:]
         for prefix, chain in (("", base_models), ("Deco-", deco_models)):
             for s, a in zip(SIZES, prefix_accuracies(chain, test_ds)[1:]):
                 acc[f"{prefix}LITETime-{s}"].append(a)
@@ -94,8 +95,11 @@ def main(argv=None):
         names = sorted(p.name for p in root.iterdir()
                        if (p / f"{p.name}_TRAIN.tsv").is_file())
     elif args.datasets.startswith("@"):
-        names = [ln.strip() for ln in Path(args.datasets[1:]).read_text().splitlines()
-                 if ln.strip()]
+        try:
+            text = Path(args.datasets[1:]).read_text()
+        except OSError as exc:
+            ap.error(f"cannot read the --datasets file: {exc}")
+        names = [ln.strip() for ln in text.splitlines() if ln.strip()]
     else:
         names = [n for n in args.datasets.split(",") if n]
 

@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .tensor import (Tensor, backward, conv1d, embed_taps, batch_norm_1d, relu,
                      global_avg_pool, dense, softmax_cross_entropy,
                      cosine_similarity_matrix, absolute, sum_all)
-from .optim import Adam, ReduceLROnPlateau, adam_update
+from .optim import Adam, ReduceLROnPlateau
 from .model import (LiteArchitectureConfig, LiteModel, build_custom_filters, init_model,
                     extract_final_filters, param_count, ratio_vs_reference,
                     model_checksum, save_model, load_model,
@@ -22,9 +22,8 @@ from .model import (LiteArchitectureConfig, LiteModel, build_custom_filters, ini
 from .data import (TimeSeriesDataset, load_ucr_split, load_dataset, z_normalize,
                    interpolate_missing, handle_irregular, batch_indices,
                    synthetic_trend_dataset)
-from .training import (TrainConfig, TrainLog, orthogonality_loss,
-                       sequential_orthogonality_loss, total_loss, train_base,
-                       build_ensemble)
+from .training import (TrainConfig, TrainLog, sequential_orthogonality_loss, total_loss,
+                       train_base, build_ensemble)
 from .evaluation import (ensemble_predict, ensemble_accuracy, accuracy, prefix_accuracies,
                          wilcoxon_signed_rank, ResultsTable, MCMReport, mcm)
 from .diversity import (FeatureStats, feature_statistics, fid, dtw,

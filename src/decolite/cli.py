@@ -48,6 +48,8 @@ def _parse_seeds(text: str) -> list[int]:
         raise UsageError(f"--seeds expects comma-separated integers, got {text!r}") from exc
     if not seeds:
         raise UsageError("--seeds lists no seeds")
+    if len(set(seeds)) != len(seeds):
+        raise UsageError(f"--seeds lists a seed more than once: {text!r}")
     return seeds
 
 

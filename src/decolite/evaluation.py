@@ -39,19 +39,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _model_probs(model: LiteModel, x: np.ndarray) -> np.ndarray:
-    return _softmax(_eval_outputs(model, x)[0])
-
-
 def _member_probs(models: list[LiteModel], x) -> np.ndarray:
     """Every member's eval-mode softmax outputs, shape (K, N, Cls)."""
     if not models:
-        raise UsageError("ensemble_predict needs at least one model")
+        raise UsageError("an ensemble needs at least one model")
     n_classes = {m.n_classes for m in models}
     if len(n_classes) != 1:
         raise ConfigError(f"members disagree on class count: {sorted(n_classes)}")
     x = np.asarray(x, dtype=np.float64)
-    return np.stack([_model_probs(m, x) for m in models])
+    return np.stack([_softmax(_eval_outputs(m, x)[0]) for m in models])
 
 
 def _sorted_mean(stacked: np.ndarray) -> np.ndarray:

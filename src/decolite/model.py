@@ -253,57 +253,38 @@ class LiteModel:
 
     # -- parameters and state --------------------------------------------
 
-    def trainable_parameters(self) -> list[Tensor]:
-        params = list(self.first_kernels)
-        for bn in self._bn:
-            params += [bn["gamma"], bn["beta"]]
-        params += [self.dw1, self.pw1, self.dw2, self.pw2, self.head_w, self.head_b]
-        return params
+    def _named_state(self):
+        """(checkpoint key, holder) for every parameter and buffer, in
+        checkpoint order; a holder is a Tensor or a running-statistics array."""
+        for i, w in enumerate(self.first_kernels):
+            yield f"first{i}", w
+        for i, bn in enumerate(self._bn, start=1):
+            for name in ("gamma", "beta", "mean", "var"):
+                yield f"bn{i}.{name}", bn[name]
+        yield from (("dw1", self.dw1), ("pw1", self.pw1), ("dw2", self.dw2),
+                    ("pw2", self.pw2), ("head.weight", self.head_w), ("head.bias", self.head_b))
 
-    def randomly_initialized_parameters(self) -> list[Tensor]:
-        """The seed-dependent subset (kernels and head weight, not affine/bias)."""
-        return list(self.first_kernels) + [self.dw1, self.pw1, self.dw2, self.pw2,
-                                           self.head_w]
+    def trainable_parameters(self) -> list[Tensor]:
+        return [h for _, h in self._named_state() if isinstance(h, Tensor)]
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and buffer, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
-        for i, w in enumerate(self.first_kernels):
-            out[f"first{i}"] = w.data.copy()
-        for i, bn in enumerate(self._bn, start=1):
-            out[f"bn{i}.gamma"] = bn["gamma"].data.copy()
-            out[f"bn{i}.beta"] = bn["beta"].data.copy()
-            out[f"bn{i}.mean"] = bn["mean"].copy()
-            out[f"bn{i}.var"] = bn["var"].copy()
-        out["dw1"] = self.dw1.data.copy()
-        out["pw1"] = self.pw1.data.copy()
-        out["dw2"] = self.dw2.data.copy()
-        out["pw2"] = self.pw2.data.copy()
-        out["head.weight"] = self.head_w.data.copy()
-        out["head.bias"] = self.head_b.data.copy()
-        return out
+        return {k: (h.data if isinstance(h, Tensor) else h).copy()
+                for k, h in self._named_state()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        current = self.state_arrays()
+        current = dict(self._named_state())
         if set(arrays) != set(current):
-            missing = set(current) ^ set(arrays)
-            raise CheckpointError(f"state keys do not match this architecture: {sorted(missing)}")
-        bad = [k for k, v in current.items() if np.shape(arrays[k]) != v.shape]
+            raise CheckpointError("state keys do not match this architecture: "
+                                  f"{sorted(set(current) ^ set(arrays))}")
+        bad = [k for k, h in current.items() if np.shape(arrays[k]) != h.shape]
         if bad:
             raise CheckpointError(f"state shapes do not match this architecture: {bad}")
-        for i, w in enumerate(self.first_kernels):
-            w.data = np.array(arrays[f"first{i}"], dtype=np.float64)
-        for i, bn in enumerate(self._bn, start=1):
-            bn["gamma"].data = np.array(arrays[f"bn{i}.gamma"], dtype=np.float64)
-            bn["beta"].data = np.array(arrays[f"bn{i}.beta"], dtype=np.float64)
-            bn["mean"][:] = arrays[f"bn{i}.mean"]
-            bn["var"][:] = arrays[f"bn{i}.var"]
-        self.dw1.data = np.array(arrays["dw1"], dtype=np.float64)
-        self.pw1.data = np.array(arrays["pw1"], dtype=np.float64)
-        self.dw2.data = np.array(arrays["dw2"], dtype=np.float64)
-        self.pw2.data = np.array(arrays["pw2"], dtype=np.float64)
-        self.head_w.data = np.array(arrays["head.weight"], dtype=np.float64)
-        self.head_b.data = np.array(arrays["head.bias"], dtype=np.float64)
+        for k, h in current.items():
+            if isinstance(h, Tensor):
+                h.data = np.array(arrays[k], dtype=np.float64)
+            else:
+                h[:] = arrays[k]
 
 
 def init_model(config: LiteArchitectureConfig, n_classes: int, seed: int) -> LiteModel:

@@ -7,20 +7,7 @@ import numpy as np
 from .errors import ConfigError
 from .tensor import Tensor
 
-__all__ = ["Adam", "adam_update", "ReduceLROnPlateau"]
-
-
-def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                eps: float = 1e-8) -> None:
-    """One bias-corrected Adam step, applied in place to ``param``/``m``/``v``."""
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
+__all__ = ["Adam", "ReduceLROnPlateau"]
 
 
 class Adam:
@@ -50,12 +37,18 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One bias-corrected Adam step, in place on each parameter and its moments."""
         self.t += 1
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            adam_update(p.data, p.grad, m, v, self.t, self.lr, self.beta1,
-                        self.beta2, self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            mhat = m / (1.0 - self.beta1 ** self.t)
+            vhat = v / (1.0 - self.beta2 ** self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
 class ReduceLROnPlateau:

@@ -39,7 +39,6 @@ __all__ = [
     "TrainConfig",
     "EpochRecord",
     "TrainLog",
-    "orthogonality_loss",
     "sequential_orthogonality_loss",
     "total_loss",
     "train_base",
@@ -110,13 +109,6 @@ class TrainLog:
 
 # ---------------------------------------------------------------------------
 # losses
-
-
-def orthogonality_loss(features_a, features_b, mode: str = "mean",
-                       eps: float = 1e-8) -> Tensor:
-    """The loss of :func:`sequential_orthogonality_loss` against the single
-    predecessor ``features_b``."""
-    return sequential_orthogonality_loss(features_a, [features_b], mode, eps)
 
 
 def sequential_orthogonality_loss(features_new, prev_features: list, mode: str = "mean",

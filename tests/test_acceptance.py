@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from decolite.diversity import feature_statistics, fid
 from decolite.model import model_checksum
 from decolite.smoke import SMOKE_CHECKS
-from decolite.training import orthogonality_loss
+from decolite.training import sequential_orthogonality_loss
 
 CHECKS = dict(SMOKE_CHECKS)
 
@@ -79,8 +79,8 @@ def test_criterion_5_decorrelation_effect_birdchicken(birdchicken_runs):
             base, deco = pair["base"], pair["deco"]
             _, f_deco = deco.forward(train_ds.X, mode="eval")
             _, f_base = base.forward(train_ds.X, mode="eval")
-            orth_wins += (orthogonality_loss(f_deco.data, ref_feats.data).item()
-                          < orthogonality_loss(f_base.data, ref_feats.data).item())
+            orth_wins += (sequential_orthogonality_loss(f_deco.data, [ref_feats.data]).item()
+                          < sequential_orthogonality_loss(f_base.data, [ref_feats.data]).item())
             fid_wins += (fid(ref_stats, feature_statistics(deco, test_ds.X, "deco"))
                          > fid(ref_stats, feature_statistics(base, test_ds.X, "base")))
         assert fid_wins >= 3, f"FID direction held in only {fid_wins}/5 pairs"

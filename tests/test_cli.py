@@ -1,9 +1,12 @@
 """Command-line contracts: layouts, manifests, exit codes, determinism."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decolite
 from decolite import arrayio, smoke
 from decolite.cli import _append_manifest, dispatch
 from decolite.diversity import Embedding2D, FeatureStats, FilterDistanceMatrix, write_fid_report
@@ -75,6 +79,12 @@ class TestTrainCommand:
         assert dispatch(train_args) == 2
         assert "manifest.json" in capsys.readouterr().err
         assert path.read_bytes() == corrupt
+
+    def test_repeated_seed_is_usage_error_before_any_output(self, tmp_path):
+        code = dispatch(["train", "--dataset", "synthetic", "--seeds", "0,0",
+                         "--epochs", "1", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert not (tmp_path / "runs").exists()
 
     def test_missing_dataset_is_usage_error(self, tmp_path):
         code = dispatch(["train", "--out", str(tmp_path), "--epochs", "2"])
@@ -385,3 +395,30 @@ def test_runs_as_a_module():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage: decolite" in proc.stdout
+
+
+def test_package_exports_are_pinned():
+    assert sorted(decolite.__all__) == """
+        Adam FeatureStats INCEPTIONTIME_REFERENCE_PARAM_COUNT LiteArchitectureConfig LiteModel
+        MCMReport ReduceLROnPlateau ResultsTable Tensor TimeSeriesDataset TrainConfig TrainLog
+        absolute accuracy arrayio backward batch_indices batch_norm_1d build_custom_filters
+        build_ensemble conv1d cosine_similarity_matrix data dense diversity dtw embed_2d
+        embed_taps ensemble_accuracy ensemble_predict errors evaluation extract_final_filters
+        feature_statistics fid filter_distance_matrix global_avg_pool handle_irregular
+        init_model interpolate_missing load_dataset load_model load_ucr_split mcm model
+        model_checksum optim param_count prefix_accuracies ratio_vs_reference relu save_model
+        sequential_orthogonality_loss softmax_cross_entropy sum_all synthetic_trend_dataset
+        tensor total_loss train_base training wilcoxon_signed_rank z_normalize
+        """.split()
+    # Every module's __all__ names only what that module defines, so a
+    # deleted function cannot leave its entry behind.
+    for info in pkgutil.iter_modules(decolite.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI on import
+            continue
+        mod = importlib.import_module(f"decolite.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert name in vars(mod), f"{mod.__name__}.__all__ names missing {name!r}"
+            value = vars(mod)[name]
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == mod.__name__, \
+                    f"{mod.__name__}.__all__ re-exports {name!r}"

@@ -7,7 +7,7 @@ from decolite.data import synthetic_trend_dataset
 from decolite.errors import ConfigError, FormatError, InputError, UsageError
 from decolite import evaluation
 from decolite.evaluation import (ResultsTable, accuracy, ensemble_accuracy, ensemble_predict,
-                                 format_p_value, mcm, wilcoxon_signed_rank)
+                                 format_p_value, mcm, prefix_accuracies, wilcoxon_signed_rank)
 from decolite.model import LiteArchitectureConfig, LiteModel, init_model, load_model, save_model
 from decolite.oracles import wilcoxon_enumerate
 
@@ -66,8 +66,11 @@ class TestEnsemblePredict:
             ensemble_predict([models[0], other], xs)
 
     def test_needs_models(self, xs):
-        with pytest.raises(UsageError):
-            ensemble_predict([], xs)
+        ds = synthetic_trend_dataset(n=4, length=8, seed=0)
+        for call, data in ((ensemble_predict, xs), (ensemble_accuracy, ds),
+                           (prefix_accuracies, ds)):
+            with pytest.raises(UsageError, match="^an ensemble needs at least one model$"):
+                call([], data)
 
 
 class TestEnsembleAccuracy:
@@ -75,7 +78,7 @@ class TestEnsembleAccuracy:
         ds = synthetic_trend_dataset(n=10, length=24, seed=5)
         probs = ensemble_predict(models, ds.X)
         want_ens = accuracy(probs.argmax(axis=1), ds.y)
-        want_members = [accuracy(evaluation._model_probs(m, ds.X).argmax(axis=1), ds.y)
+        want_members = [accuracy(evaluation._member_probs([m], ds.X)[0].argmax(axis=1), ds.y)
                         for m in models]
         # ensemble_predict memoized the fixture's passes, so count on
         # freshly loaded members, which hold none.

@@ -92,7 +92,8 @@ class TestResume:
 
 
 class TestArguments:
-    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--epochs", "0"], ["--alpha", "1.5"]])
+    @pytest.mark.parametrize("flags", [["--runs", "0"], ["--epochs", "0"], ["--alpha", "1.5"],
+                                       ["--datasets", "@missing.txt"]])
     def test_bad_value_is_usage_error_before_any_output(self, script, tmp_path, flags):
         root = tmp_path / "archive"
         _write_ucr(root / "Good" / "Good_TRAIN.tsv", synthetic_trend_dataset(n=8, length=16))
@@ -157,11 +158,11 @@ class TestScoring:
 
         monkeypatch.setattr(LiteModel, "forward", counting_forward)
         accs, _, _ = script.run_dataset("Good", root, out, TrainConfig(epochs=1), 1)
-        # Five members per chain. feature_statistics forwards nothing: each
-        # member it reads (base0, base1, deco1) keeps the logits and pooled
-        # features of its prefix_accuracies pass. The deco chain's base0 is
-        # reloaded from disk, a separate instance, so it forwards again.
-        assert len(test_forwards) == 2 * 5
+        # Nine distinct members. The deco chain is scored with the base
+        # build's base0, which keeps the logits and pooled features of its
+        # prefix_accuracies pass, and so does every member feature_statistics
+        # reads (base0, base1, deco1); none of them forwards twice.
+        assert len(test_forwards) == 2 * 5 - 1
 
         mdir = out / "models" / "Good" / "run0"
         base = [load_model(mdir / f"base{i}" / "checkpoint_best.ckpt") for i in range(5)]

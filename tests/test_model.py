@@ -94,9 +94,9 @@ class TestInit:
         a = init_model(arch, 2, 0)
         b = init_model(arch, 2, 1)
         assert model_checksum(a) != model_checksum(b)
-        for pa, pb in zip(a.randomly_initialized_parameters(),
-                          b.randomly_initialized_parameters()):
-            assert not np.array_equal(pa.data, pb.data)
+        sa, sb = a.state_arrays(), b.state_arrays()
+        for k in ("first0", "first1", "first2", "dw1", "pw1", "dw2", "pw2", "head.weight"):
+            assert not np.array_equal(sa[k], sb[k]), k
 
     def test_param_count_matches_layer_algebra(self, arch):
         model = init_model(arch, 2, 0)

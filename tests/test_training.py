@@ -13,7 +13,7 @@ from decolite.data import batch_indices, synthetic_trend_dataset
 from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
 from decolite.model import LiteModel, model_checksum, save_model
 from decolite.tensor import Tensor, backward
-from decolite.training import (TrainConfig, TrainLog, build_ensemble, orthogonality_loss,
+from decolite.training import (TrainConfig, TrainLog, build_ensemble,
                                sequential_orthogonality_loss, total_loss, train_base)
 
 
@@ -29,24 +29,26 @@ def _quick(seed=0, **kw):
 
 
 class TestOrthogonalityLoss:
+    """The loss against one predecessor."""
+
     def test_single_channel_is_zero(self, rng):
         a = rng.normal(size=(3, 1, 8))
         b = rng.normal(size=(3, 1, 8))
-        assert orthogonality_loss(a, b).item() == 0.0
-        assert orthogonality_loss(a, b, mode="raw").item() == 0.0
+        assert sequential_orthogonality_loss(a, [b]).item() == 0.0
+        assert sequential_orthogonality_loss(a, [b], mode="raw").item() == 0.0
 
     def test_orthonormal_identical_maps(self):
         f = np.stack([np.eye(3)] * 2)  # channels are orthonormal rows
-        assert abs(orthogonality_loss(f, f, mode="raw").item()) < 1e-12
+        assert abs(sequential_orthogonality_loss(f, [f], mode="raw").item()) < 1e-12
 
     def test_hand_two_channel_case(self):
         fa = np.array([[[1.0, 0.0], [1.0, 1.0]]])
         fa[0, 1] /= np.sqrt(2.0)
         fb = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        assert abs(orthogonality_loss(fa, fb, mode="raw").item() - 0.7071) < 1e-4
-        np.testing.assert_allclose(orthogonality_loss(fa, fb, mode="raw").item(),
-                                   np.sqrt(0.5), atol=1e-6)
-        np.testing.assert_allclose(orthogonality_loss(fa, fb, mode="mean").item(),
+        raw = sequential_orthogonality_loss(fa, [fb], mode="raw").item()
+        assert abs(raw - 0.7071) < 1e-4
+        np.testing.assert_allclose(raw, np.sqrt(0.5), atol=1e-6)
+        np.testing.assert_allclose(sequential_orthogonality_loss(fa, [fb], mode="mean").item(),
                                    np.sqrt(0.5) / 2.0, atol=1e-6)
 
     def test_symmetric_in_arguments(self, rng):
@@ -54,52 +56,46 @@ class TestOrthogonalityLoss:
             a = rng.normal(size=(2, 4, 7))
             b = rng.normal(size=(2, 4, 7))
             for mode in ("mean", "raw"):
-                d = abs(orthogonality_loss(a, b, mode).item()
-                        - orthogonality_loss(b, a, mode).item())
+                d = abs(sequential_orthogonality_loss(a, [b], mode).item()
+                        - sequential_orthogonality_loss(b, [a], mode).item())
                 assert d <= 1e-12
 
     def test_invariant_to_positive_channel_rescaling(self, rng):
         a = rng.normal(size=(2, 4, 7))
         b = rng.normal(size=(2, 4, 7))
-        base = orthogonality_loss(a, b).item()
+        base = sequential_orthogonality_loss(a, [b]).item()
         scale = rng.uniform(0.1, 10.0, size=(1, 4, 1))
-        assert abs(orthogonality_loss(a * scale, b).item() - base) <= 1e-9
-        assert abs(orthogonality_loss(a, b * scale).item() - base) <= 1e-9
+        assert abs(sequential_orthogonality_loss(a * scale, [b]).item() - base) <= 1e-9
+        assert abs(sequential_orthogonality_loss(a, [b * scale]).item() - base) <= 1e-9
 
     def test_nonnegative(self, rng):
         for _ in range(10):
             a, b = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 5))
-            assert orthogonality_loss(a, b, mode="raw").item() >= 0.0
+            assert sequential_orthogonality_loss(a, [b], mode="raw").item() >= 0.0
 
     def test_mean_mode_divides_by_pair_count(self, rng):
         a, b = rng.normal(size=(2, 5, 6)), rng.normal(size=(2, 5, 6))
-        raw = orthogonality_loss(a, b, mode="raw").item()
-        mean = orthogonality_loss(a, b, mode="mean").item()
+        raw = sequential_orthogonality_loss(a, [b], mode="raw").item()
+        mean = sequential_orthogonality_loss(a, [b], mode="mean").item()
         np.testing.assert_allclose(mean, raw / (5 * 4), rtol=1e-12)
 
     def test_shape_checks(self, rng):
+        draw = rng.normal
         with pytest.raises(ShapeError):
-            orthogonality_loss(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 5)))
+            sequential_orthogonality_loss(draw(size=(2, 3, 4)), [draw(size=(2, 3, 5))])
         with pytest.raises(ShapeError):
-            orthogonality_loss(rng.normal(size=(3, 4)), rng.normal(size=(3, 4)))
+            sequential_orthogonality_loss(draw(size=(3, 4)), [draw(size=(3, 4))])
         with pytest.raises(ShapeError):  # 5 channels are no whole number of 3-channel maps
-            orthogonality_loss(rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)))
+            sequential_orthogonality_loss(draw(size=(2, 3, 4)), [draw(size=(2, 5, 4))])
         with pytest.raises(ConfigError):
-            orthogonality_loss(rng.normal(size=(1, 2, 3)), rng.normal(size=(1, 2, 3)),
-                               mode="other")
+            sequential_orthogonality_loss(draw(size=(1, 2, 3)), [draw(size=(1, 2, 3))], "other")
 
 
 class TestSequentialLoss:
-    def test_single_term_equals_plain_loss(self, rng):
-        f = rng.normal(size=(2, 3, 5))
-        g = rng.normal(size=(2, 3, 5))
-        assert sequential_orthogonality_loss(f, [g]).item() == \
-            orthogonality_loss(f, g).item()
-
     def test_mean_of_equal_terms(self, rng):
         f = rng.normal(size=(2, 3, 5))
         g = rng.normal(size=(2, 3, 5))
-        one = orthogonality_loss(f, g).item()
+        one = sequential_orthogonality_loss(f, [g]).item()
         two = sequential_orthogonality_loss(f, [g, g.copy()]).item()
         np.testing.assert_allclose(two, one, rtol=1e-12)
 
@@ -108,7 +104,7 @@ class TestSequentialLoss:
         for p in (1, 2, 3, 4):
             gs = [rng.normal(size=(1, 3, 6)) for _ in range(p)]
             for mode in ("mean", "raw"):
-                parts = [orthogonality_loss(f, g, mode).item() for g in gs]
+                parts = [sequential_orthogonality_loss(f, [g], mode).item() for g in gs]
                 got = sequential_orthogonality_loss(f, gs, mode).item()
                 np.testing.assert_allclose(got, np.mean(parts), rtol=1e-12)
                 # the same P maps as one (B, P*C, T) entry
@@ -245,8 +241,8 @@ def decorrelation_runs(tmp_path_factory):
     ref_feats = eval_features(twins["ref"])
     return [{
         "seed": p["seed"],
-        "orth_deco": orthogonality_loss(eval_features(p["deco"]), ref_feats).item(),
-        "orth_plain": orthogonality_loss(eval_features(p["base"]), ref_feats).item(),
+        "orth_deco": sequential_orthogonality_loss(eval_features(p["deco"]), [ref_feats]).item(),
+        "orth_plain": sequential_orthogonality_loss(eval_features(p["base"]), [ref_feats]).item(),
     } for p in twins["pairs"]]
 
 
