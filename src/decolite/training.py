@@ -194,9 +194,9 @@ def _frozen_features(prev: list[LiteModel], ds: TimeSeriesDataset, buf: np.ndarr
     ``prev[j]``. Slots ``start..len(prev)-1`` are filled here; the earlier
     ones were filled by an earlier call, so a chain that passes one buffer
     to every member's training forwards each member once. Returns the
-    (N, P*C, T) view of the filled slots. Eval forwards are pure per
-    sample, so a step's rows of it hold the bits of a forward over that
-    step's batch.
+    (N, P*C, T) view of the filled slots. Feature maps do not depend on
+    how :func:`_eval_chunks` splits the rows, so a step's rows of it hold
+    the bits of a forward over that step's batch.
     """
     c = prev[0].config.n_filters
     for j, p in enumerate(prev[start:], start):

@@ -75,8 +75,9 @@ class TestFeatureStatistics:
     def test_chunked_forwards_match_one_forward_in_bounded_memory(self, models):
         x = synthetic_trend_dataset(n=300, length=32, seed=2).X
         pooled = models[0].forward(x, mode="eval")[1].data.mean(axis=2)
-        chunk = peak(lambda: models[0].forward(x[:128], mode="eval"))
-        # One forward over all 300 rows peaks at about 2.3 chunks. Measured
+        rows = model_module._eval_chunk_rows(models[0], x.shape[-1])
+        chunk = peak(lambda: models[0].forward(x[:rows], mode="eval"))
+        # One forward over all 300 rows peaks at about 4.2 chunks. Measured
         # on the first call over x: a repeat reads the memoized pass.
         assert peak(lambda: feature_statistics(models[0], x)) <= 1.25 * chunk
 
@@ -99,7 +100,7 @@ class TestFeatureStatistics:
 
     def test_chunk_rows_follow_the_byte_budget(self, models):
         rows = [model_module._eval_chunk_rows(models[0], t) for t in (32, 512, 579, 580, 2709)]
-        assert rows == [128, 128, 128, 127, 27]
+        assert rows == [72, 4, 4, 3, 1]
         assert model_module._eval_chunk_rows(models[0], 10**9) == 1
 
 

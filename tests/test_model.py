@@ -15,7 +15,7 @@ from decolite.diversity import feature_statistics
 from decolite.errors import CheckpointError, ConfigError, ShapeError
 from decolite.evaluation import ensemble_accuracy, ensemble_predict, prefix_accuracies
 from decolite.model import (INCEPTIONTIME_REFERENCE_PARAM_COUNT, LiteArchitectureConfig,
-                            LiteModel, _eval_outputs, build_custom_filters,
+                            LiteModel, _eval_chunks, _eval_outputs, build_custom_filters,
                             extract_final_filters, init_model, load_model, model_checksum,
                             param_count, ratio_vs_reference, save_model)
 from decolite.optim import Adam
@@ -372,6 +372,38 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert model_checksum(load_model(path)) == model_checksum(old)
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+class TestEvalChunks:
+    """_eval_chunks splits an eval pass into rows that fit the byte budget."""
+
+    @pytest.mark.parametrize("rows, chunks", [(1, 10), (3, 4), (None, 1)])
+    def test_chunk_maps_hold_the_bits_of_one_forward(self, monkeypatch, rows, chunks):
+        model = init_model(LiteArchitectureConfig(), 2, 0)
+        x = synthetic_trend_dataset(n=10, length=40, seed=3).X
+        if rows is not None:
+            monkeypatch.setattr(model_mod, "_EVAL_CHUNK_BYTES", rows * 8 * 113 * 40)
+        logits, feats = model.forward(x, mode="eval")
+        parts = list(_eval_chunks(model, x))
+        assert len(parts) == chunks
+        # The maps are what a deco chain freezes, so they must match bit for
+        # bit; the head's GEMM may round a logit by the row's chunk position.
+        assert np.array_equal(np.concatenate([f for _, _, f in parts]), feats.data)
+        np.testing.assert_allclose(np.concatenate([lg for _, lg, _ in parts]), logits.data,
+                                   rtol=0, atol=1e-12)
+
+    def test_eval_pass_over_a_long_split_holds_a_few_cache_sized_maps(self):
+        model = init_model(LiteArchitectureConfig(), 2, 0)
+        x = synthetic_trend_dataset(n=32, length=512, seed=4).X
+        tracemalloc.start()
+        try:
+            _eval_outputs(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About 6 MiB in 4-row chunks of 1.8 MiB maps, which stay in a 2 MiB
+        # per-core L2 cache; 32-row chunks under a 64 MiB budget peak at 43 MiB.
+        assert peak <= 4 * (2 << 20)
 
 
 class TestEvalMemo:
