@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from .errors import ConfigError, DataError, FormatError, NumericError, UsageErro
 from .evaluation import ResultsTable, ensemble_accuracy, mcm
 from .model import load_model
 from .smoke import run_smoke
-from .training import TrainConfig, build_ensemble, train_base
+from .training import TrainConfig, build_ensemble
 
 __all__ = ["dispatch", "main"]
 
@@ -141,79 +141,78 @@ def _manifest_record(command: str, run_root: Path, artifacts: list[Path],
 # commands
 
 
-def _cmd_train(args, file_cfg) -> int:
+def _run_build(args, file_cfg, command: str, kind: str, size: int | None, report) -> int:
+    """The body ``train`` and ``ensemble`` share: build ``size`` members of
+    ``kind`` into ``<out>/<dataset>/<kind>-<size>/seed<k>``, write the
+    metrics that ``report(build, dataset, train_ds, test_ds)`` returns with
+    its lines to print, and append the manifest. ``train`` passes no size:
+    one base member per seed (seed 0 by default), under ``base-1``."""
     started, clock = _utc_now(), time.perf_counter()
     cfg = _train_config(args, file_cfg)
-    seeds = _parse_seeds(_coalesce(args, file_cfg, "seeds", "0", str))
-    out = Path(_coalesce(args, file_cfg, "out", "runs", str))
-    dataset = _coalesce(args, file_cfg, "dataset", None, str)
-    if dataset is None:
-        raise UsageError("--dataset is required")
-    train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
-
-    run_root = out / dataset / "base-1"
-    artifacts = []
-    metrics = {"dataset": dataset, "models": []}
-    for seed in seeds:
-        seed_dir = run_root / f"seed{seed}"
-        model, log = train_base(train_ds, replace(cfg, seed=seed), out_dir=seed_dir)
-        ens_acc, _ = ensemble_accuracy([model], test_ds)
-        train_acc, _ = ensemble_accuracy([model], train_ds)
-        metrics["models"].append({"seed": seed, "train_accuracy": train_acc,
-                                  "test_accuracy": ens_acc,
-                                  "final_train_loss": log.records[-1].total_loss})
-        artifacts += [seed_dir / "checkpoint_best.ckpt", seed_dir / "checkpoint_last.ckpt",
-                      seed_dir / "train_log.csv"]
-        print(f"trained seed {seed}: train acc {train_acc:.4f}, test acc {ens_acc:.4f}")
-    metrics_path = run_root / "metrics.json"
-    write_json(metrics_path, metrics)
-    artifacts.append(metrics_path)
-    _append_manifest(run_root, _manifest_record(
-        "train", run_root, artifacts, started, clock, dataset=dataset, kind="base", size=1,
-        seeds=seeds, config=asdict(cfg)))
-    return 0
-
-
-def _cmd_ensemble(args, file_cfg) -> int:
-    started, clock = _utc_now(), time.perf_counter()
-    cfg = _train_config(args, file_cfg)
-    size = _coalesce(args, file_cfg, "size", 2, int)
-    kind = _coalesce(args, file_cfg, "kind", None, str)
-    if kind not in ("base", "deco"):
-        raise UsageError("--kind must be 'base' or 'deco'")
     dataset = _coalesce(args, file_cfg, "dataset", None, str)
     if dataset is None:
         raise UsageError("--dataset is required")
     seeds_text = _coalesce(args, file_cfg, "seeds", None, str)
-    seeds = _parse_seeds(seeds_text) if seeds_text else list(range(size))
+    seeds = _parse_seeds(seeds_text) if seeds_text is not None else list(range(size or 1))
     out = Path(_coalesce(args, file_cfg, "out", "runs", str))
     train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
 
-    run_root = out / dataset / f"{kind}-{size}"
+    run_root = out / dataset / f"{kind}-{size or 1}"
     seed_dirs = [run_root / f"seed{seed}" for seed in seeds]
-    build = build_ensemble(train_ds, cfg, size, kind, seeds=seeds, out_dirs=seed_dirs)
+    build = build_ensemble(train_ds, cfg, size or len(seeds), kind, seeds=seeds,
+                           out_dirs=seed_dirs)
+    metrics, lines = report(build, dataset, train_ds, test_ds)
+    metrics_path = run_root / "metrics.json"
+    write_json(metrics_path, metrics)
+    artifacts = [metrics_path] + [d / name for d in seed_dirs for name in
+                                  ("checkpoint_best.ckpt", "checkpoint_last.ckpt",
+                                   "train_log.csv")]
+    _append_manifest(run_root, _manifest_record(
+        command, run_root, artifacts, started, clock, dataset=dataset, kind=kind,
+        size=size or 1, seeds=seeds, config=asdict(cfg)))
+    print("\n".join(lines))
+    return 0
 
+
+def _member_report(build, dataset, train_ds, test_ds):
+    _, train_accs = ensemble_accuracy(build.models, train_ds)
+    _, test_accs = ensemble_accuracy(build.models, test_ds)
+    models = [{"seed": seed, "train_accuracy": train_acc, "test_accuracy": test_acc}
+              for seed, train_acc, test_acc in zip(build.metadata["seeds"], train_accs,
+                                                   test_accs)]
+    lines = [f"seed {m['seed']}: train acc {m['train_accuracy']:.4f}, "
+             f"test acc {m['test_accuracy']:.4f}" for m in models]
+    return {"dataset": dataset, "models": models}, lines
+
+
+def _ensemble_report(build, dataset, train_ds, test_ds):
     ens_acc, member_acc = ensemble_accuracy(build.models, test_ds)
+    meta = build.metadata
     metrics = {
-        "name": build.metadata["name"],
+        "name": meta["name"],
         "dataset": dataset,
-        "kind": kind,
-        "size": size,
-        "seeds": seeds,
+        "kind": meta["kind"],
+        "size": meta["size"],
+        "seeds": meta["seeds"],
         "ensemble_test_accuracy": ens_acc,
         "member_test_accuracies": member_acc,
     }
-    metrics_path = run_root / "metrics.json"
-    write_json(metrics_path, metrics)
-    artifacts = [metrics_path]
-    for d in seed_dirs:
-        artifacts += [d / "checkpoint_best.ckpt", d / "checkpoint_last.ckpt",
-                      d / "train_log.csv"]
-    _append_manifest(run_root, _manifest_record(
-        "ensemble", run_root, artifacts, started, clock, dataset=dataset, kind=kind,
-        size=size, seeds=seeds, config=asdict(cfg)))
-    print(f"{build.metadata['name']} on {dataset}: ensemble test acc {ens_acc:.4f}")
-    return 0
+    return metrics, [f"{meta['name']} on {dataset}: ensemble test acc {ens_acc:.4f}"]
+
+
+def _cmd_train(args, file_cfg) -> int:
+    return _run_build(args, file_cfg, "train", "base", None, _member_report)
+
+
+def _cmd_ensemble(args, file_cfg) -> int:
+    size = _coalesce(args, file_cfg, "size", 2, int)
+    kind = _coalesce(args, file_cfg, "kind", None, str)
+    if kind not in ("base", "deco"):
+        raise UsageError("--kind must be 'base' or 'deco'")
+    if not 2 <= size <= 5:
+        print(f"warning: ensemble size {size} is outside the studied range 2..5",
+              file=sys.stderr)
+    return _run_build(args, file_cfg, "ensemble", kind, size, _ensemble_report)
 
 
 def _split_paths(text: str) -> list[Path]:
@@ -230,7 +229,8 @@ def _cmd_evaluate(args, file_cfg) -> int:
     dataset = _coalesce(args, file_cfg, "dataset", None, str)
     if dataset is None:
         raise UsageError("--dataset is required")
-    models = [load_model(p) for p in _split_paths(args.models)]
+    paths = _split_paths(args.models)
+    models = [load_model(p) for p in paths]
     train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
     ds = train_ds if args.split == "train" else test_ds
     out = Path(_coalesce(args, file_cfg, "out", "runs", str)) / dataset / "evaluate"
@@ -240,7 +240,7 @@ def _cmd_evaluate(args, file_cfg) -> int:
     payload = {
         "dataset": dataset,
         "split": args.split,
-        "checkpoints": [str(p) for p in _split_paths(args.models)],
+        "checkpoints": [str(p) for p in paths],
         "ensemble_accuracy": ens_acc,
         "member_accuracies": member_acc,
     }

@@ -25,7 +25,7 @@ from .data import synthetic_trend_dataset
 from .model import (LiteArchitectureConfig, init_model, load_model, model_checksum,
                     save_model)
 from .oracles import dtw_dp, dtw_enumerate, fd_max_rel_err, wilcoxon_enumerate
-from .training import TrainConfig, build_ensemble, train_base
+from .training import TrainConfig, build_ensemble
 
 __all__ = ["SmokeCheck", "run_smoke", "SMOKE_CHECKS"]
 
@@ -224,8 +224,8 @@ def _quick_config(**kw) -> TrainConfig:
 
 def _check_training_accuracy(out_dir):
     ds = synthetic_trend_dataset(n=32, length=16, seed=0)
-    cfg = TrainConfig(epochs=200, batch_size=64, seed=0)
-    net, log = train_base(ds, cfg)
+    build = build_ensemble(ds, TrainConfig(epochs=200, batch_size=64), 1, "base", seeds=[0])
+    net, log = build.models[0], build.logs[0]
     hit = next((r.epoch for r in log.records if r.train_accuracy == 1.0), None)
     logits, _ = net.forward(ds.X, mode="eval")
     eval_acc = evaluation.accuracy(logits.data.argmax(axis=1), ds.y)
@@ -237,7 +237,7 @@ def _check_training_determinism(out_dir):
     ds = synthetic_trend_dataset(n=16, length=16, seed=1)
     sums = []
     for _ in range(2):
-        net, _ = train_base(ds, _quick_config(seed=4))
+        net = build_ensemble(ds, _quick_config(), 1, "base", seeds=[4]).models[0]
         sums.append(model_checksum(net))
     ok = sums[0] == sums[1]
     return ok, "identical checksums" if ok else "re-run diverged"
@@ -257,7 +257,7 @@ def _check_frozen_and_paired(out_dir):
     # bits the chain's reference must keep while member 1 trains against it.
     ds = synthetic_trend_dataset(n=16, length=16, seed=2)
     cfg = _quick_config(epochs=15)
-    alone, _ = train_base(ds, cfg)
+    alone = build_ensemble(ds, cfg, 1, "base", seeds=[0]).models[0]
     paired_init = model_checksum(init_model(alone.config, ds.n_classes, 1))
     ref, deco = build_ensemble(ds, cfg, 2, "deco", seeds=[0, 1]).models
     problems = []
@@ -272,7 +272,7 @@ def _check_frozen_and_paired(out_dir):
 
 def _check_alpha_one(out_dir):
     ds = synthetic_trend_dataset(n=16, length=16, seed=3)
-    base, _ = train_base(ds, _quick_config(seed=6, epochs=40))
+    base = build_ensemble(ds, _quick_config(epochs=40), 1, "base", seeds=[6]).models[0]
     deco = build_ensemble(ds, _quick_config(epochs=40, alpha=1.0), 2, "deco",
                           seeds=[0, 6]).models[1]
     ok = model_checksum(base) == model_checksum(deco)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, field, replace, asdict
 from pathlib import Path
 
@@ -41,7 +40,6 @@ __all__ = [
     "TrainLog",
     "sequential_orthogonality_loss",
     "total_loss",
-    "train_base",
     "build_ensemble",
     "EnsembleBuild",
 ]
@@ -242,17 +240,15 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
 
 
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
-                prev_models: list[LiteModel], out_dir=None, buf=None, start: int = 0):
-    """Train ``model`` against ``prev_models``, whose training-set maps go
-    into the caller's buffer ``buf`` through :func:`_frozen_features`,
-    which forwards the models from ``start`` on once the config is valid."""
-    config.validate()
+                frozen: np.ndarray | None, out_dir, record: dict):
+    """Run the epochs of ``model`` against the predecessors' training-set
+    maps ``frozen`` (None without predecessors); with an ``out_dir``, the
+    checkpoints record ``record``."""
     if out_dir is not None:
         # The best checkpoint, written last, marks a finished member.
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "checkpoint_best.ckpt").unlink(missing_ok=True)
-    frozen = _frozen_features(prev_models, ds, buf, start) if prev_models else None
 
     opt = Adam(model.trainable_parameters(), lr=config.lr)
     sched = ReduceLROnPlateau(opt, factor=config.plateau_factor,
@@ -285,7 +281,6 @@ def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
         sched.step(epoch_total)
 
     if out_dir is not None:
-        record = _train_record(ds, config, prev_models)
         save_model(model, out_dir / "checkpoint_last.ckpt", record)
         log.to_csv(out_dir / "train_log.csv")
     # The last step's gradients belong to parameters that best_state replaces.
@@ -309,26 +304,14 @@ def _train_record(ds: TimeSeriesDataset, config: TrainConfig,
             "predecessors": [model_checksum(p) for p in prev_models]}
 
 
-def train_base(ds: TimeSeriesDataset, config: TrainConfig, out_dir=None):
-    """Train one model with cross-entropy only; returns the best checkpoint.
-
-    The log's orthogonality column is zero throughout. When ``out_dir`` is
-    given, best/last checkpoints and the log CSV are written there.
-    """
-    model = init_model(LiteArchitectureConfig(), ds.n_classes, config.seed)
-    return _train_loop(ds, config, model, [], out_dir)
-
-
-def _reusable(out_dir, ds: TimeSeriesDataset, config: TrainConfig,
-              prev_models: list[LiteModel]):
-    """The finished member in ``out_dir`` if it records the training record
-    this member would get and fits the default architecture and ``ds``,
-    else None."""
+def _reusable(out_dir, ds: TimeSeriesDataset, record: dict):
+    """The finished member in ``out_dir`` if it records ``record`` and fits
+    the default architecture and ``ds``, else None."""
     path = Path(out_dir) / "checkpoint_best.ckpt" if out_dir is not None else None
     if path is None or not path.is_file():
         return None
     try:
-        model = load_model(path, _train_record(ds, config, prev_models))
+        model = load_model(path, record)
     except CheckpointError:
         return None
     fits = model.config == LiteArchitectureConfig() and model.n_classes == ds.n_classes
@@ -351,14 +334,16 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     per member. "deco" trains the first seed's member with cross-entropy
     as the fixed reference, then each further member sequentially with the
     orthogonality penalty against all members before it. This is the only
-    way to train a member against predecessors. Chains that name the same
-    directory for their first member share one reference: the first chain
-    trains it there and the others reload it (see below). The chain keeps
-    its members' training-set maps in one (N, (size-1)*C, T) buffer in an
-    unnamed temporary file, whose space is reserved before the first member
-    trains (OSError when the temp directory lacks it); each member's maps
-    are computed once, when the first member trained against it starts, so
-    a loaded member costs no forward until a later member needs its maps.
+    way to train a member; a single model is a one-member "base" build.
+    Chains that name the same directory for their first member share one
+    reference: the first chain trains it there and the others reload it
+    (see below). The config is validated before anything else. The chain
+    keeps its members' training-set maps in one (N, (size-1)*C, T) buffer
+    in an unnamed temporary file, whose space is reserved before the first
+    member trains (OSError when the temp directory lacks it); each member's
+    maps are computed once, when the first member trained against it
+    starts, so a loaded member costs no forward until a later member needs
+    its maps.
 
     A member whose out_dir holds a readable ``checkpoint_best.ckpt`` is
     loaded, with None for its log, when the checkpoint fits the
@@ -372,12 +357,10 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
         raise ConfigError(f"ensemble kind must be 'base' or 'deco', got {kind!r}")
     if size < 1:
         raise ConfigError("ensemble size must be positive")
-    if not 2 <= size <= 5:
-        warnings.warn(f"ensemble size {size} is outside the studied range 2..5",
-                      stacklevel=2)
+    config.validate()
     seeds = list(range(size)) if seeds is None else list(seeds)
-    if len(seeds) != size or len(set(seeds)) != size:
-        raise ConfigError(f"need {size} distinct seeds, got {seeds}")
+    if len(seeds) != size or len(set(seeds)) != size or min(seeds) < 0:
+        raise ConfigError(f"need {size} distinct non-negative seeds, got {seeds}")
     if out_dirs is not None and len(out_dirs) != size:
         raise ConfigError("out_dirs must name one directory per member")
 
@@ -389,11 +372,13 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
         prev = models.copy() if kind == "deco" else []
-        model, log = _reusable(out_dir, ds, member_cfg, prev), None
+        record = _train_record(ds, member_cfg, prev)
+        model, log = _reusable(out_dir, ds, record), None
         if model is None:
-            model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
-                                     prev, out_dir, buf, filled)
+            frozen = _frozen_features(prev, ds, buf, filled) if prev else None
             filled = len(prev)
+            model, log = _train_loop(ds, member_cfg, init_model(arch, ds.n_classes, seed),
+                                     frozen, out_dir, record)
         models.append(model)
         logs.append(log)
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from decolite import training
 from decolite.data import load_dataset, resolve_data_root
 from decolite.model import load_model, model_checksum
 from decolite.training import TrainConfig, build_ensemble
@@ -15,6 +16,20 @@ def ucr_root_or_none(dataset: str):
     if root is None:
         return None
     return root if (root / dataset / f"{dataset}_TRAIN.tsv").is_file() else None
+
+
+def count_training(monkeypatch):
+    """The argument tuples of every ``training._train_loop`` call from now
+    on, one per member trained rather than reloaded."""
+    calls = []
+    real_loop = training._train_loop
+
+    def counting_loop(*args, **kwargs):
+        calls.append(args)
+        return real_loop(*args, **kwargs)
+
+    monkeypatch.setattr(training, "_train_loop", counting_loop)
+    return calls
 
 
 def train_twins(train_ds, config, root):

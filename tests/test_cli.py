@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import decolite
+from conftest import count_training
 from decolite import arrayio, smoke
 from decolite.cli import _append_manifest, dispatch
 from decolite.diversity import Embedding2D, FeatureStats, FilterDistanceMatrix, write_fid_report
@@ -101,6 +102,27 @@ class TestTrainCommand:
                          "--data-root", str(tmp_path / "nowhere"),
                          "--out", str(tmp_path)])
         assert code == 2
+
+    def test_rerun_reuses_finished_members(self, tmp_path, monkeypatch):
+        args = lambda epochs: ["train", "--dataset", "synthetic", "--seeds", "0,1",  # noqa: E731
+                               "--epochs", epochs, "--batch-size", "16",
+                               "--out", str(tmp_path / "runs")]
+        calls = count_training(monkeypatch)
+        metrics = tmp_path / "runs" / "synthetic" / "base-1" / "metrics.json"
+        assert dispatch(args("3")) == 0
+        first = metrics.read_bytes()
+        assert len(calls) == 2
+        assert dispatch(args("3")) == 0
+        assert len(calls) == 2
+        assert metrics.read_bytes() == first
+        assert dispatch(args("4")) == 0
+        assert len(calls) == 4
+
+    def test_prints_nothing_to_stderr(self, train_args, capsys):
+        assert dispatch(train_args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("seed 0: train acc ")
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = tmp_path / "diverge.cfg"
@@ -223,6 +245,11 @@ class TestEnsembleCommand:
         assert len(metrics["member_test_accuracies"]) == 2
         for seed in (0, 1):
             assert (root / f"seed{seed}" / "checkpoint_best.ckpt").is_file()
+
+    def test_size_outside_studied_range_warns_on_stderr(self, tmp_path, capsys):
+        assert dispatch(["ensemble", "--dataset", "synthetic", "--kind", "base",
+                         "--size", "6", "--epochs", "1", "--out", str(tmp_path)]) == 0
+        assert "outside the studied range 2..5" in capsys.readouterr().err
 
     def test_kind_required(self, tmp_path):
         assert dispatch(["ensemble", "--dataset", "synthetic", "--size", "2",
@@ -408,7 +435,7 @@ def test_package_exports_are_pinned():
         init_model interpolate_missing load_dataset load_model load_ucr_split mcm model
         model_checksum optim param_count prefix_accuracies ratio_vs_reference relu save_model
         sequential_orthogonality_loss softmax_cross_entropy sum_all synthetic_trend_dataset
-        tensor total_loss train_base training wilcoxon_signed_rank z_normalize
+        tensor total_loss training wilcoxon_signed_rank z_normalize
         """.split()
     # Every module's __all__ names only what that module defines, so a
     # deleted function cannot leave its entry behind.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decolite import training
+from conftest import count_training
 from decolite.data import load_dataset, synthetic_trend_dataset
 from decolite.evaluation import accuracy, ensemble_predict
 from decolite.model import LiteModel, load_model, model_checksum
@@ -38,18 +38,6 @@ def _failures(out):
         return list(csv.reader(fh))
 
 
-def _count_training(monkeypatch):
-    calls = []
-    real_loop = training._train_loop
-
-    def counting_loop(*args, **kwargs):
-        calls.append(args)
-        return real_loop(*args, **kwargs)
-
-    monkeypatch.setattr(training, "_train_loop", counting_loop)
-    return calls
-
-
 class TestResume:
     def test_truncated_checkpoint_is_retrained(self, tmp_path, monkeypatch):
         ds = synthetic_trend_dataset(n=8, length=16)
@@ -59,7 +47,7 @@ class TestResume:
         path = out_dirs[0] / "checkpoint_best.ckpt"
         path.write_bytes(path.read_bytes()[:100])
 
-        calls = _count_training(monkeypatch)
+        calls = count_training(monkeypatch)
         again = build_ensemble(ds, cfg, 2, "base", out_dirs=out_dirs).models[0]
         assert len(calls) == 1
         assert model_checksum(again) == model_checksum(first)
@@ -83,7 +71,7 @@ class TestResume:
         script.main(base + ["--epochs", "1"])
         before = {n: model_checksum(load_model(mdir / n / "checkpoint_best.ckpt"))
                   for n in names}
-        calls = _count_training(monkeypatch)
+        calls = count_training(monkeypatch)
         script.main(base + ["--epochs", "30", "--alpha", "0.9"])
         assert len(calls) == len(names)
         for n in names:

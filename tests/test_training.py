@@ -14,7 +14,7 @@ from decolite.errors import ConfigError, NumericError, ShapeError, UsageError
 from decolite.model import LiteModel, model_checksum, save_model
 from decolite.tensor import Tensor, backward
 from decolite.training import (TrainConfig, TrainLog, build_ensemble,
-                               sequential_orthogonality_loss, total_loss, train_base)
+                               sequential_orthogonality_loss, total_loss)
 
 
 @pytest.fixture
@@ -169,10 +169,16 @@ class TestTrainConfig:
                 TrainConfig(lr=lr).validate()
 
 
+def _train_one(ds, cfg):
+    """A one-member base build: one model trained with cross-entropy only."""
+    build = build_ensemble(ds, cfg, 1, "base", seeds=[cfg.seed])
+    return build.models[0], build.logs[0]
+
+
 class TestTrainBase:
     def test_log_shape_and_orth_column(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=1)
-        _, log = train_base(ds, _quick(seed=0, epochs=7))
+        _, log = _train_one(ds, _quick(seed=0, epochs=7))
         assert [r.epoch for r in log.records] == list(range(7))
         assert all(r.orth_loss == 0.0 for r in log.records)
         assert all(r.total_loss == r.ce_loss for r in log.records)
@@ -180,7 +186,7 @@ class TestTrainBase:
 
     def test_returns_best_loss_checkpoint(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=1)
-        net, log = train_base(ds, _quick(seed=0, epochs=30))
+        net, log = _train_one(ds, _quick(seed=0, epochs=30))
         best = min(r.total_loss for r in log.records)
         logits, _ = net.forward(ds.X, mode="eval")  # model is usable post-restore
         assert np.isfinite(best) and logits.data.shape == (16, 2)
@@ -188,7 +194,7 @@ class TestTrainBase:
     def test_divergence_aborts_with_epoch(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=0)
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch"):
-            train_base(ds, _quick(seed=0, lr=1e200, epochs=10))
+            _train_one(ds, _quick(seed=0, lr=1e200, epochs=10))
 
 
 class TestTrainDecorrelated:
@@ -281,7 +287,7 @@ class TestArchiveExamples:
         if root is None:
             pytest.skip("Coffee is not available offline")
         train, _ = load_dataset(root, "Coffee")
-        net, _ = train_base(train, TrainConfig(seed=0))
+        net, _ = _train_one(train, TrainConfig(seed=0))
         logits, _ = net.forward(train.X, mode="eval")
         assert accuracy(logits.data.argmax(axis=1), train.y) == 1.0
 
@@ -496,12 +502,28 @@ class TestBuildEnsemble:
         assert (dirs[0] / "checkpoint_best.ckpt").is_file()
 
     def test_size_outside_range_warns_but_runs(self):
+        # The warning is the command line's (test_cli); the library builds
+        # any positive size silently.
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
-        with pytest.warns(UserWarning, match="outside the studied range"):
-            build = build_ensemble(ds, _quick(epochs=2), size=6, kind="base")
+        build = build_ensemble(ds, _quick(epochs=2), size=6, kind="base")
         assert len(build.models) == 6
+
+    def test_invalid_config_fails_before_buffer_or_checkpoint(self, tmp_path, monkeypatch):
+        def reached(*args, **kwargs):
+            pytest.fail("ran before the config was validated")
+
+        monkeypatch.setattr(training_mod, "_feature_buffer", reached)
+        monkeypatch.setattr(training_mod, "load_model", reached)
+        ds = synthetic_trend_dataset(n=16, length=16, seed=4)
+        dirs = [tmp_path / "member0", tmp_path / "member1"]
+        dirs[0].mkdir()
+        (dirs[0] / "checkpoint_best.ckpt").write_bytes(b"not read")
+        with pytest.raises(ConfigError, match="lr"):
+            build_ensemble(ds, TrainConfig(lr=float("nan")), 2, "deco", out_dirs=dirs)
 
     def test_duplicate_seeds_rejected(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
         with pytest.raises(ConfigError):
             build_ensemble(ds, _quick(epochs=2), size=2, kind="base", seeds=[1, 1])
+        with pytest.raises(ConfigError, match="non-negative"):
+            build_ensemble(ds, _quick(epochs=2), size=1, kind="base", seeds=[-1])
