@@ -141,26 +141,24 @@ def _manifest_record(command: str, run_root: Path, artifacts: list[Path],
 # commands
 
 
-def _run_build(args, file_cfg, command: str, kind: str, size: int | None, report) -> int:
+def _run_build(args, file_cfg, command: str, kind: str, run_size: int, size: int,
+               seeds: list[int], report) -> int:
     """The body ``train`` and ``ensemble`` share: build ``size`` members of
-    ``kind`` into ``<out>/<dataset>/<kind>-<size>/seed<k>``, write the
-    metrics that ``report(build, dataset, train_ds, test_ds)`` returns with
-    its lines to print, and append the manifest. ``train`` passes no size:
-    one base member per seed (seed 0 by default), under ``base-1``."""
+    ``kind`` with ``seeds`` into ``<out>/<dataset>/<kind>-<run_size>/seed<k>``,
+    write the metrics that ``report(build, dataset, train_ds, test_ds)``
+    returns with its lines to print, and append the manifest, which records
+    ``run_size`` as the size."""
     started, clock = _utc_now(), time.perf_counter()
     cfg = _train_config(args, file_cfg)
     dataset = _coalesce(args, file_cfg, "dataset", None, str)
     if dataset is None:
         raise UsageError("--dataset is required")
-    seeds_text = _coalesce(args, file_cfg, "seeds", None, str)
-    seeds = _parse_seeds(seeds_text) if seeds_text is not None else list(range(size or 1))
     out = Path(_coalesce(args, file_cfg, "out", "runs", str))
     train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
 
-    run_root = out / dataset / f"{kind}-{size or 1}"
+    run_root = out / dataset / f"{kind}-{run_size}"
     seed_dirs = [run_root / f"seed{seed}" for seed in seeds]
-    build = build_ensemble(train_ds, cfg, size or len(seeds), kind, seeds=seeds,
-                           out_dirs=seed_dirs)
+    build = build_ensemble(train_ds, cfg, size, kind, seeds=seeds, out_dirs=seed_dirs)
     metrics, lines = report(build, dataset, train_ds, test_ds)
     metrics_path = run_root / "metrics.json"
     write_json(metrics_path, metrics)
@@ -169,7 +167,7 @@ def _run_build(args, file_cfg, command: str, kind: str, size: int | None, report
                                    "train_log.csv")]
     _append_manifest(run_root, _manifest_record(
         command, run_root, artifacts, started, clock, dataset=dataset, kind=kind,
-        size=size or 1, seeds=seeds, config=asdict(cfg)))
+        size=run_size, seeds=seeds, config=asdict(cfg)))
     print("\n".join(lines))
     return 0
 
@@ -201,7 +199,10 @@ def _ensemble_report(build, dataset, train_ds, test_ds):
 
 
 def _cmd_train(args, file_cfg) -> int:
-    return _run_build(args, file_cfg, "train", "base", None, _member_report)
+    # Each seed is its own one-member base ensemble; all share base-1.
+    seeds = _parse_seeds(_coalesce(args, file_cfg, "seeds", "0", str))
+    return _run_build(args, file_cfg, "train", "base", 1, len(seeds), seeds,
+                      _member_report)
 
 
 def _cmd_ensemble(args, file_cfg) -> int:
@@ -209,10 +210,13 @@ def _cmd_ensemble(args, file_cfg) -> int:
     kind = _coalesce(args, file_cfg, "kind", None, str)
     if kind not in ("base", "deco"):
         raise UsageError("--kind must be 'base' or 'deco'")
-    if not 2 <= size <= 5:
+    seeds_text = _coalesce(args, file_cfg, "seeds", None, str)
+    seeds = _parse_seeds(seeds_text) if seeds_text is not None else list(range(size))
+    if size > 0 and not 2 <= size <= 5:  # build_ensemble rejects size < 1
         print(f"warning: ensemble size {size} is outside the studied range 2..5",
               file=sys.stderr)
-    return _run_build(args, file_cfg, "ensemble", kind, size, _ensemble_report)
+    return _run_build(args, file_cfg, "ensemble", kind, size, size, seeds,
+                      _ensemble_report)
 
 
 def _split_paths(text: str) -> list[Path]:

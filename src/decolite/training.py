@@ -240,7 +240,7 @@ def _train_step(ds: TimeSeriesDataset, idx: np.ndarray, config: TrainConfig,
 
 
 def _train_loop(ds: TimeSeriesDataset, config: TrainConfig, model: LiteModel,
-                frozen: np.ndarray | None, out_dir, record: dict):
+                frozen: np.ndarray | None, out_dir, record: dict | None):
     """Run the epochs of ``model`` against the predecessors' training-set
     maps ``frozen`` (None without predecessors); with an ``out_dir``, the
     checkpoints record ``record``."""
@@ -304,7 +304,7 @@ def _train_record(ds: TimeSeriesDataset, config: TrainConfig,
             "predecessors": [model_checksum(p) for p in prev_models]}
 
 
-def _reusable(out_dir, ds: TimeSeriesDataset, record: dict):
+def _reusable(out_dir, ds: TimeSeriesDataset, record: dict | None):
     """The finished member in ``out_dir`` if it records ``record`` and fits
     the default architecture and ``ds``, else None."""
     path = Path(out_dir) / "checkpoint_best.ckpt" if out_dir is not None else None
@@ -372,7 +372,7 @@ def build_ensemble(ds: TimeSeriesDataset, config: TrainConfig, size: int,
     for seed, out_dir in zip(seeds, out_dirs or [None] * size):
         member_cfg = replace(config, seed=seed)
         prev = models.copy() if kind == "deco" else []
-        record = _train_record(ds, member_cfg, prev)
+        record = _train_record(ds, member_cfg, prev) if out_dir is not None else None
         model, log = _reusable(out_dir, ds, record), None
         if model is None:
             frozen = _frozen_features(prev, ds, buf, filled) if prev else None

@@ -251,6 +251,15 @@ class TestEnsembleCommand:
                          "--size", "6", "--epochs", "1", "--out", str(tmp_path)]) == 0
         assert "outside the studied range 2..5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["base", "deco"])
+    def test_size_zero_is_config_error_and_writes_nothing(self, tmp_path, capsys, kind):
+        assert dispatch(["ensemble", "--dataset", "synthetic", "--kind", kind,
+                         "--size", "0", "--epochs", "1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "ensemble size must be positive" in err
+        assert "studied range" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_kind_required(self, tmp_path):
         assert dispatch(["ensemble", "--dataset", "synthetic", "--size", "2",
                          "--out", str(tmp_path)]) == 1
