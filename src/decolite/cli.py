@@ -116,7 +116,7 @@ def _append_manifest(run_root: Path, record: dict) -> None:
                 manifest = json.load(fh)
         except ValueError as exc:  # invalid JSON or UTF-8
             raise FormatError(f"{path}: corrupt manifest: {exc}") from exc
-        runs = manifest.get("runs", []) if isinstance(manifest, dict) else None
+        runs = manifest.get("runs") if isinstance(manifest, dict) else None
         if not isinstance(runs, list):
             raise FormatError(f'{path}: corrupt manifest: expected {{"runs": [...]}}')
     runs.append(record)
@@ -219,27 +219,28 @@ def _cmd_ensemble(args, file_cfg) -> int:
                       _ensemble_report)
 
 
-def _split_paths(text: str) -> list[Path]:
-    paths = [Path(tok) for tok in text.split(",") if tok]
-    if not paths:
-        raise UsageError("--models lists no checkpoint paths")
-    return paths
-
-
-def _cmd_evaluate(args, file_cfg) -> int:
-    started, clock = _utc_now(), time.perf_counter()
+def _load_models_and_split(args, file_cfg, command: str):
+    """The preamble ``evaluate`` and ``diversity`` share. Returns the
+    ``--models`` paths and their models, the dataset name, its ``--split``
+    split, and the created directory ``<out>/<dataset>/<command>``."""
     if args.models is None:
         raise UsageError("--models is required")
     dataset = _coalesce(args, file_cfg, "dataset", None, str)
     if dataset is None:
         raise UsageError("--dataset is required")
-    paths = _split_paths(args.models)
+    paths = [Path(tok) for tok in args.models.split(",") if tok]
+    if not paths:
+        raise UsageError("--models lists no checkpoint paths")
     models = [load_model(p) for p in paths]
     train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
-    ds = train_ds if args.split == "train" else test_ds
-    out = Path(_coalesce(args, file_cfg, "out", "runs", str)) / dataset / "evaluate"
+    out = Path(_coalesce(args, file_cfg, "out", "runs", str)) / dataset / command
     out.mkdir(parents=True, exist_ok=True)
+    return paths, models, dataset, train_ds if args.split == "train" else test_ds, out
 
+
+def _cmd_evaluate(args, file_cfg) -> int:
+    started, clock = _utc_now(), time.perf_counter()
+    paths, models, dataset, ds, out = _load_models_and_split(args, file_cfg, "evaluate")
     ens_acc, member_acc = ensemble_accuracy(models, ds)
     payload = {
         "dataset": dataset,
@@ -277,19 +278,8 @@ def _cmd_mcm(args, file_cfg) -> int:
 
 def _cmd_diversity(args, file_cfg) -> int:
     started, clock = _utc_now(), time.perf_counter()
-    if args.models is None:
-        raise UsageError("--models is required")
-    dataset = _coalesce(args, file_cfg, "dataset", None, str)
-    if dataset is None:
-        raise UsageError("--dataset is required")
-    paths = _split_paths(args.models)
-    models = [load_model(p) for p in paths]
+    paths, models, dataset, ds, out = _load_models_and_split(args, file_cfg, "diversity")
     ids = [f"model{i}" for i in range(len(models))]
-    train_ds, test_ds = _load_splits(dataset, _coalesce(args, file_cfg, "data_root", None, str))
-    ds = train_ds if args.split == "train" else test_ds
-    out = Path(_coalesce(args, file_cfg, "out", "runs", str)) / dataset / "diversity"
-    out.mkdir(parents=True, exist_ok=True)
-
     stats = [feature_statistics(m, ds.X, model_id=i) for m, i in zip(models, ids)]
     write_json(out / "feature_stats.json", {"stats": [s.to_json_dict() for s in stats]})
     write_fid_report(stats, out / "fid_report.json")

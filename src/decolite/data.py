@@ -6,6 +6,7 @@ smoke checks.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,21 +81,18 @@ def interpolate_missing(series: np.ndarray) -> np.ndarray:
     return out
 
 
-def handle_irregular(series_list: list[np.ndarray],
-                     target_length: int | None = None) -> np.ndarray:
+def handle_irregular(series_list: list[np.ndarray], target_length: int) -> np.ndarray:
     """Produce an equal-length z-normalized matrix from raw series.
 
     Missing values are interpolated first, each series is z-normalized at
     its own length, and shorter series are then right-padded with zeros
-    (the mean of normalized data) up to ``target_length``, which defaults
-    to the longest series present. Inputs that are already normalized and
-    of equal length come back unchanged up to float error.
+    (the mean of normalized data) up to ``target_length``. Inputs that are
+    already normalized and of equal length come back unchanged up to
+    float error.
     """
     fixed = [z_normalize(interpolate_missing(s)) for s in series_list]
     longest = max(s.size for s in fixed)
-    if target_length is None:
-        target_length = longest
-    elif longest > target_length:
+    if longest > target_length:
         raise DataError(f"series of length {longest} exceeds target length {target_length}")
     out = np.zeros((len(fixed), target_length), dtype=np.float64)
     for i, s in enumerate(fixed):
@@ -102,14 +100,13 @@ def handle_irregular(series_list: list[np.ndarray],
     return out
 
 
-def load_ucr_split(root_dir, dataset_name: str, split: str,
-                   variable_length: bool = False):
+def load_ucr_split(root_dir, dataset_name: str, split: str):
     """Read ``<root>/<name>/<name>_{TRAIN|TEST}.tsv``.
 
-    Each line holds the label followed by the series values, tab
-    separated. Returns ``(series_list, labels)`` with row order preserved
-    and labels parsed as floats; values may contain NaN. Ragged rows raise
-    :class:`FormatError` unless ``variable_length`` is set.
+    Each line holds a finite label and then as many tab-separated values
+    as the first line; values may contain NaN. Returns ``(series_list,
+    labels)`` in row order; a malformed line is a :class:`FormatError`
+    that names the file and line.
     """
     if split not in ("train", "test"):
         raise UsageError(f"split must be 'train' or 'test', got {split!r}")
@@ -128,36 +125,36 @@ def load_ucr_split(root_dir, dataset_name: str, split: str,
             if len(tokens) < 2:
                 raise FormatError(f"{path}:{lineno}: expected a label and at least one value")
             try:
-                labels.append(float(tokens[0]))
+                label = float(tokens[0])
                 values = np.array([float(v) for v in tokens[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: non-numeric field") from exc
+            if not math.isfinite(label):
+                raise FormatError(f"{path}:{lineno}: label {tokens[0]!r} is not finite")
+            if series and values.size != series[0].size:
+                raise FormatError(f"{path}:{lineno}: {values.size} values, "
+                                  f"the first row has {series[0].size}")
+            labels.append(label)
             series.append(values)
     if not series:
         raise FormatError(f"{path}: file holds no data rows")
-    lengths = {s.size for s in series}
-    if len(lengths) > 1 and not variable_length:
-        raise FormatError(
-            f"{path}: rows have differing lengths {sorted(lengths)}; "
-            "pass variable_length=True to accept and pad them")
     return series, labels
 
 
-def _encode_labels(labels: list[float], label_map: dict[float, int] | None):
+def _build(name, split, series, labels, label_map, target_length):
+    try:  # an infinite value is reported by the finite check below, not by numpy
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = handle_irregular(series, target_length)
+    except DataError as exc:
+        raise DataError(f"{name}/{split}: {exc}") from exc
     if label_map is None:
         label_map = {lab: i for i, lab in enumerate(sorted(set(labels)))}
     unknown = sorted(set(labels) - set(label_map))
     if unknown:
-        raise DataError(f"labels {unknown} do not appear in the training split")
+        raise DataError(f"{name}/{split}: labels {unknown} do not appear in the training split")
     y = np.array([label_map[lab] for lab in labels], dtype=np.int64)
     onehot = np.zeros((len(labels), len(label_map)), dtype=np.float64)
     onehot[np.arange(len(labels)), y] = 1.0
-    return y, onehot, label_map
-
-
-def _build(name, split, series, labels, label_map, target_length):
-    x = handle_irregular(series, target_length)
-    y, onehot, label_map = _encode_labels(labels, label_map)
     ds = TimeSeriesDataset(name=name, split=split, X=x[:, None, :], y=y, Y=onehot,
                            label_map=label_map)
     if ds.n < 2:
@@ -167,16 +164,18 @@ def _build(name, split, series, labels, label_map, target_length):
     return ds
 
 
-def load_dataset(root_dir, name: str, variable_length: bool = False):
+def load_dataset(root_dir, name: str):
     """Load a UCR dataset's train and test splits with one shared label map.
 
-    Series are interpolated, z-normalized and padded to the longest train
-    series. Returns ``(train, test)``.
+    Series are interpolated, z-normalized and padded to the train length.
+    Returns ``(train, test)``; a one-class training split is a DataError.
     """
-    train_series, train_labels = load_ucr_split(root_dir, name, "train", variable_length)
-    test_series, test_labels = load_ucr_split(root_dir, name, "test", variable_length)
-    target = max(s.size for s in train_series)
+    train_series, train_labels = load_ucr_split(root_dir, name, "train")
+    test_series, test_labels = load_ucr_split(root_dir, name, "test")
+    target = train_series[0].size
     train = _build(name, "train", train_series, train_labels, None, target)
+    if train.n_classes < 2:
+        raise DataError(f"{name}/train: a classifier needs at least two classes")
     test = _build(name, "test", test_series, test_labels, train.label_map, target)
     return train, test
 

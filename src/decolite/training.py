@@ -67,6 +67,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if not 0.0 < self.plateau_factor < 1.0:
+            raise ConfigError(f"plateau_factor must lie in (0, 1), got {self.plateau_factor}")
         if self.plateau_patience < 1:
             raise ConfigError("plateau_patience must be at least 1")
         if self.epochs < 1:

@@ -1,6 +1,8 @@
 """Shared fixtures, including the archive-gated BirdChicken experiment."""
 
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,17 @@ from decolite import training
 from decolite.data import load_dataset, resolve_data_root
 from decolite.model import load_model, model_checksum
 from decolite.training import TrainConfig, build_ensemble
+
+FULL_BENCHMARK = Path(__file__).resolve().parents[1] / "scripts" / "run_full_benchmark.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    """``scripts/run_full_benchmark.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location("run_full_benchmark", FULL_BENCHMARK)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def ucr_root_or_none(dataset: str):

@@ -70,8 +70,9 @@ class TestTrainCommand:
         manifest = _manifest(tmp_path / "runs" / "synthetic" / "base-1")
         assert len(manifest["runs"]) == 2
 
-    @pytest.mark.parametrize("corrupt", [b'{"runs": [', b"[]", b'{"runs": {}}'],
-                             ids=["truncated", "list", "runs-not-list"])
+    @pytest.mark.parametrize("corrupt", [b'{"runs": [', b"[]", b'{"runs": {}}',
+                                         b'{"records": []}'],
+                             ids=["truncated", "list", "runs-not-list", "no-runs"])
     def test_corrupt_manifest_is_data_error_and_kept(self, train_args, tmp_path, capsys,
                                                      corrupt):
         path = tmp_path / "runs" / "synthetic" / "base-1" / "manifest.json"

@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -15,15 +14,6 @@ from decolite.model import LiteModel, load_model, model_checksum
 from decolite.training import TrainConfig, build_ensemble
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-SCRIPT = SCRIPTS / "run_full_benchmark.py"
-
-
-@pytest.fixture(scope="module")
-def script():
-    spec = importlib.util.spec_from_file_location("run_full_benchmark", SCRIPT)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _write_ucr(path, ds):

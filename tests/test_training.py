@@ -508,7 +508,10 @@ class TestBuildEnsemble:
         build = build_ensemble(ds, _quick(epochs=2), size=6, kind="base")
         assert len(build.models) == 6
 
-    def test_invalid_config_fails_before_buffer_or_checkpoint(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("field, value", [("lr", float("nan")), ("plateau_factor", 1.5)],
+                             ids=["lr", "plateau_factor"])
+    def test_invalid_config_fails_before_buffer_or_checkpoint(self, tmp_path, monkeypatch,
+                                                              field, value):
         def reached(*args, **kwargs):
             pytest.fail("ran before the config was validated")
 
@@ -518,8 +521,8 @@ class TestBuildEnsemble:
         dirs = [tmp_path / "member0", tmp_path / "member1"]
         dirs[0].mkdir()
         (dirs[0] / "checkpoint_best.ckpt").write_bytes(b"not read")
-        with pytest.raises(ConfigError, match="lr"):
-            build_ensemble(ds, TrainConfig(lr=float("nan")), 2, "deco", out_dirs=dirs)
+        with pytest.raises(ConfigError, match=field):
+            build_ensemble(ds, TrainConfig(**{field: value}), 2, "deco", out_dirs=dirs)
 
     def test_duplicate_seeds_rejected(self):
         ds = synthetic_trend_dataset(n=16, length=16, seed=4)
